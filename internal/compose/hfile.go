@@ -64,6 +64,12 @@ func (e *Entry) Seq() uint64 { return e.seq }
 // Valid reports whether the entry is still live (not squashed/committed).
 func (e *Entry) Valid() bool { return e.valid }
 
+// Slot returns the entry's fixed position in the history-file ring, in
+// [0, Options.HFEntries).  At most one live entry occupies a slot, so a host
+// core can keep per-entry state in a table indexed by Slot and tell a
+// reallocated slot apart by Seq.
+func (e *Entry) Slot() int { return e.idx }
+
 // historyFile is the ring of entries plus the repair state machine
 // bookkeeping (§IV-B.2).
 type historyFile struct {

@@ -11,7 +11,9 @@ import (
 // and the history-file entry involved.
 type InvariantError struct {
 	// Op is the pipeline operation after which the check fired: "Predict",
-	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll".
+	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll"; or, for a
+	// check the host core runs on its own structures (ReportViolation), the
+	// core stage that ran it, such as "uarch.issue".
 	Op string
 	// Component is the sub-component instance the violation is attributed
 	// to, or "" for a pipeline-level (history file / history provider)
@@ -52,6 +54,13 @@ func (p *Pipeline) Violations() []*InvariantError {
 // ViolationCount returns the total number of violations detected, including
 // any beyond the retained list.
 func (p *Pipeline) ViolationCount() uint64 { return p.vioTotal }
+
+// ReportViolation records a paranoid-mode violation found by the host core
+// in its own structures, so one Violations list carries every invariant
+// failure of the run.  seq is the history-file entry involved, or 0.
+func (p *Pipeline) ReportViolation(op string, cycle, seq uint64, detail string) {
+	p.reportViolation(op, "", cycle, seq, "%s", detail)
+}
 
 func (p *Pipeline) reportViolation(op, comp string, cycle, seq uint64, format string, args ...any) {
 	p.vioTotal++

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"runtime/metrics"
 	"sync"
 	"time"
@@ -43,13 +44,13 @@ type Resources struct {
 	Attempts    int     `json:"attempts"`
 }
 
-// The runtime/metrics samples the meter reads.  Reading by name into a
-// pre-built sample slice is allocation-free after the first call.
+// The runtime/metrics samples the meter and the /metrics scrape read.
+// Reading by name into a pre-built sample slice is allocation-free after
+// the first call.
 const (
 	rmCPUUser    = "/cpu/classes/user:cpu-seconds"
 	rmCPUGC      = "/cpu/classes/gc/total:cpu-seconds"
 	rmAllocBytes = "/gc/heap/allocs:bytes"
-	rmAllocObjs  = "/gc/heap/allocs:objects"
 	rmHeapLive   = "/memory/classes/heap/objects:bytes"
 	rmGCPauses   = "/gc/pauses:seconds"
 	rmGCCycles   = "/gc/cycles/total:gc-cycles"
@@ -59,10 +60,17 @@ const (
 
 // ResourceMeter measures one interval.  Start it immediately before the work,
 // Stop it after; the background sampler tracks peak live heap in between.
+//
+// The allocation totals come from runtime.ReadMemStats, not runtime/metrics:
+// /gc/heap/allocs counts a small-object span only once it leaves its P's
+// cache, so over a short interval it misses whatever the caches still hold.
+// ReadMemStats flushes those counts first, at the price of a brief
+// stop-the-world at each end of the interval.
 type ResourceMeter struct {
-	start    time.Time
-	base     []metrics.Sample
-	baseHeap uint64
+	start      time.Time
+	base       []metrics.Sample
+	baseHeap   uint64
+	baseAllocs allocTotals
 
 	mu       sync.Mutex
 	peakHeap uint64
@@ -70,16 +78,32 @@ type ResourceMeter struct {
 	done     chan struct{}
 }
 
+// Indexes into meterSamples.
+const (
+	msCPUUser = iota
+	msCPUGC
+	msHeapLive
+	msGCPauses
+	msGCCycles
+)
+
 func meterSamples() []metrics.Sample {
 	return []metrics.Sample{
-		{Name: rmCPUUser},
-		{Name: rmCPUGC},
-		{Name: rmAllocBytes},
-		{Name: rmAllocObjs},
-		{Name: rmHeapLive},
-		{Name: rmGCPauses},
-		{Name: rmGCCycles},
+		msCPUUser:  {Name: rmCPUUser},
+		msCPUGC:    {Name: rmCPUGC},
+		msHeapLive: {Name: rmHeapLive},
+		msGCPauses: {Name: rmGCPauses},
+		msGCCycles: {Name: rmGCCycles},
 	}
+}
+
+// allocTotals are the process's cumulative heap allocations.
+type allocTotals struct{ bytes, objects uint64 }
+
+func readAllocTotals() allocTotals {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return allocTotals{bytes: ms.TotalAlloc, objects: ms.Mallocs}
 }
 
 // StartResourceMeter snapshots the baseline and starts the peak-heap sampler
@@ -94,8 +118,9 @@ func StartResourceMeter(interval time.Duration) *ResourceMeter {
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
+	m.baseAllocs = readAllocTotals()
 	metrics.Read(m.base)
-	m.baseHeap = kindUint64(m.base[4])
+	m.baseHeap = kindUint64(m.base[msHeapLive])
 	m.peakHeap = m.baseHeap
 	go m.sample(interval)
 	return m
@@ -133,28 +158,29 @@ func (m *ResourceMeter) Stop() Resources {
 	<-m.done
 	end := meterSamples()
 	metrics.Read(end)
+	allocs := readAllocTotals()
 	wall := time.Since(m.start)
 
 	var r Resources
 	r.WallMS = float64(wall.Microseconds()) / 1000
-	r.CPUUserMS = (kindFloat64(end[0]) - kindFloat64(m.base[0])) * 1000
-	r.GCCPUMS = (kindFloat64(end[1]) - kindFloat64(m.base[1])) * 1000
-	r.AllocBytes = kindUint64(end[2]) - kindUint64(m.base[2])
-	r.AllocObjects = kindUint64(end[3]) - kindUint64(m.base[3])
+	r.CPUUserMS = (kindFloat64(end[msCPUUser]) - kindFloat64(m.base[msCPUUser])) * 1000
+	r.GCCPUMS = (kindFloat64(end[msCPUGC]) - kindFloat64(m.base[msCPUGC])) * 1000
+	r.AllocBytes = allocs.bytes - m.baseAllocs.bytes
+	r.AllocObjects = allocs.objects - m.baseAllocs.objects
 	m.mu.Lock()
 	if m.peakHeap > m.baseHeap {
 		r.PeakHeapDeltaBytes = m.peakHeap - m.baseHeap
 	}
 	m.mu.Unlock()
 	// Final heap read can exceed anything the sampler saw.
-	if v := kindUint64(end[4]); v > m.baseHeap && v-m.baseHeap > r.PeakHeapDeltaBytes {
+	if v := kindUint64(end[msHeapLive]); v > m.baseHeap && v-m.baseHeap > r.PeakHeapDeltaBytes {
 		r.PeakHeapDeltaBytes = v - m.baseHeap
 	}
-	r.GCPauseMS = histDeltaSum(end[5], m.base[5]) * 1000
+	r.GCPauseMS = histDeltaSum(end[msGCPauses], m.base[msGCPauses]) * 1000
 	if sec := wall.Seconds(); sec > 0 {
 		r.GCPauseShare = (r.GCPauseMS / 1000) / sec
 	}
-	r.GCCycles = kindUint64(end[6]) - kindUint64(m.base[6])
+	r.GCCycles = kindUint64(end[msGCCycles]) - kindUint64(m.base[msGCCycles])
 	// Negative CPU deltas can only come from clamping/rounding inside the
 	// runtime; floor at zero so the record never claims negative cost.
 	if r.CPUUserMS < 0 {

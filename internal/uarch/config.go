@@ -75,11 +75,6 @@ type Config struct {
 	WatchdogCycles uint64
 }
 
-// DefaultConfig reproduces the evaluated BOOM configuration (Table II):
-// 16-byte fetch, 4-wide decode/commit, 128-entry ROB, 3x32-entry issue
-// queues, 8 pipelines (4 ALU, 2 MEM, 2 FP), 32-entry LDQ/STQ, 32 KB 8-way
-// L1D, 512 KB 8-way L2, and a flat main-memory latency standing in for the
-// FASED LLC+DRAM model.
 // InOrderConfig models a simple scalar in-order core (Rocket-class): 1-wide
 // decode/commit, in-order single issue, small buffers — a second, very
 // different host for the same composed predictor pipelines (§IV-C).
@@ -99,6 +94,11 @@ func InOrderConfig() Config {
 	return c
 }
 
+// DefaultConfig reproduces the evaluated BOOM configuration (Table II):
+// 16-byte fetch, 4-wide decode/commit, 128-entry ROB, 3x32-entry issue
+// queues, 8 pipelines (4 ALU, 2 MEM, 2 FP), 32-entry LDQ/STQ, 32 KB 8-way
+// L1D, 512 KB 8-way L2, and a flat main-memory latency standing in for the
+// FASED LLC+DRAM model.
 func DefaultConfig() Config {
 	return Config{
 		Fetch:           pred.DefaultConfig(),

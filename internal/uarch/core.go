@@ -30,6 +30,12 @@ type robE struct {
 	iq     uint8
 	src    [2]prodRef
 
+	// Event-driven backend state (see events.go).
+	waitOps uint8 // source operands whose producer has not completed
+	linked  uint8 // bit k set: src[k] is on its producer's consumer list
+	bucket  int32 // completion-wheel bucket while issued
+	next    int32 // next (younger) slot in the same wheel bucket, -1 at the end
+
 	misp, dirMisp, tgtMisp bool
 }
 
@@ -45,8 +51,12 @@ type renameEntry struct {
 	valid bool
 }
 
+// pendingEntry counts the delivered, not yet retired or flushed
+// instructions of one history-file entry; the core keeps one per
+// history-file slot.
 type pendingEntry struct {
-	entry *compose.Entry
+	entry *compose.Entry // nil when the slot has no delivered instructions
+	seq   uint64         // entry.Seq() when the record was opened
 	count int
 }
 
@@ -86,12 +96,11 @@ type Core struct {
 	rasCps        []rasCp
 	rasHead       int // index of the oldest live RAS checkpoint
 
-	// freelists: steady-state fetch recycles packets, per-packet slot
-	// vectors, and pending-entry records instead of allocating (the
-	// fetch/decode loop is the simulator's hottest path).
+	// freelists: steady-state fetch recycles packets and per-packet slot
+	// vectors instead of allocating (the fetch/decode loop is the
+	// simulator's hottest path).
 	pktFree   []*pkt
 	slotsFree [][]pred.SlotInfo
-	pendFree  []*pendingEntry
 	vdScratch []pred.SlotInfo // reusable viewDecode destination
 
 	// backend
@@ -102,7 +111,15 @@ type Core struct {
 	iqUsed   [numIQ]int
 	ldqUsed  int
 	stqUsed  int
-	pending  map[uint64]*pendingEntry
+	pending  []pendingEntry // indexed by history-file slot (Entry.Slot)
+
+	// Event-driven issue and writeback (events.go), all sized in NewCore.
+	readyQ    [numIQ]ageQueue // out-of-order issue: ready instructions per IQ
+	consHead  []int32         // per ROB slot: first link of its consumer list
+	consNext  []int32         // per link (2*slot+operand): next link
+	wheel     []int32         // completion wheel: per bucket, first ROB slot
+	wheelMask uint64
+	paranoid  bool // cross-check the event structures against a ROB scan
 
 	lastCommitCycle uint64
 	histRepairBase  uint64
@@ -126,7 +143,7 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		panic("uarch: core and pipeline disagree on fetch geometry")
 	}
 	oracle := program.NewOracle(prog, seed)
-	return &Core{
+	c := &Core{
 		cfg:       cfg,
 		bp:        bp,
 		prog:      prog,
@@ -137,10 +154,13 @@ func NewCore(cfg Config, bp *compose.Pipeline, prog *program.Program, seed uint6
 		fetchPC:   prog.Entry,
 		onCorrect: true,
 		rob:       make([]robE, cfg.ROBEntries),
-		pending:   make(map[uint64]*pendingEntry),
+		pending:   make([]pendingEntry, bp.Opt.HFEntries),
+		paranoid:  bp.Opt.Paranoid,
 		obsv:      bp.Observer(),
 		S:         stats.NewSim(),
 	}
+	c.initEvents()
+	return c
 }
 
 // SetBranchProfile attaches a per-PC misprediction attribution profile: the
@@ -210,47 +230,49 @@ func (c *Core) Pipeline() *compose.Pipeline { return c.bp }
 // Cycle returns the current simulated cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 
-func (c *Core) robAt(i int) *robE {
+// robIdx maps the i-th oldest ROB entry to its slot.
+func (c *Core) robIdx(i int) int {
 	j := c.robHead + i
 	if j >= len(c.rob) {
 		j -= len(c.rob)
 	}
-	return &c.rob[j]
+	return j
 }
 
+func (c *Core) robAt(i int) *robE { return &c.rob[c.robIdx(i)] }
+
+// pend adds n delivered instructions to e's outstanding count.  A history-
+// file slot is reallocated only after its entry committed (count zero) or
+// was squashed (every instruction of it flushed first), so an open record
+// for another seq is a model bug.
 func (c *Core) pend(e *compose.Entry, n int) {
-	p := c.pending[e.Seq()]
-	if p == nil {
-		if k := len(c.pendFree); k > 0 {
-			p = c.pendFree[k-1]
-			c.pendFree = c.pendFree[:k-1]
-			*p = pendingEntry{entry: e}
-		} else {
-			p = &pendingEntry{entry: e}
-		}
-		c.pending[e.Seq()] = p
+	p := &c.pending[e.Slot()]
+	if p.entry == nil {
+		*p = pendingEntry{entry: e, seq: e.Seq()}
+	} else if p.seq != e.Seq() {
+		panic(fmt.Sprintf("uarch: history-file slot %d reallocated to entry#%d while entry#%d has %d instructions in flight",
+			e.Slot(), e.Seq(), p.seq, p.count))
 	}
 	p.count += n
 }
 
-// unpend decrements an entry's outstanding instruction count; at zero the
-// packet has fully committed (commit=true) or fully vanished, and the
-// history-file entry retires or is dropped.
-func (c *Core) unpend(seq uint64, commit bool) {
-	p := c.pending[seq]
-	if p == nil {
+// unpend decrements the outstanding count of f's entry; at zero the packet
+// has fully committed (commit=true) or fully vanished, and the history-file
+// entry retires or is dropped.
+func (c *Core) unpend(f *fbInst, commit bool) {
+	p := &c.pending[f.entry.Slot()]
+	if p.entry == nil || p.seq != f.entrySeq {
 		return
 	}
 	p.count--
 	if p.count > 0 {
 		return
 	}
-	delete(c.pending, seq)
-	if commit && p.entry.Valid() {
-		c.bp.Commit(c.cycle, p.entry)
+	e := p.entry
+	*p = pendingEntry{}
+	if commit && e.Valid() {
+		c.bp.Commit(c.cycle, e)
 	}
-	p.entry = nil
-	c.pendFree = append(c.pendFree, p)
 }
 
 // tgtProvider names the sub-component whose target opinion the frontend
@@ -312,11 +334,15 @@ func (c *Core) dispatch() {
 		if f.inst != nil {
 			r.src[0] = c.lookupProducer(f.inst.Src1)
 			r.src[1] = c.lookupProducer(f.inst.Src2)
+			c.linkOperands(idx, r)
 			if f.inst.Dst != 0 {
 				c.rename[f.inst.Dst%32] = renameEntry{idx: idx, seq: f.seq, valid: true}
 			}
 		} else {
 			r.src[0].idx, r.src[1].idx = -1, -1
+		}
+		if r.waitOps == 0 && !c.cfg.InOrderIssue {
+			c.readyQ[iq].insert(qEnt{seq: f.seq, idx: int32(idx)})
 		}
 		c.robCount++
 		c.iqUsed[iq]++
@@ -341,7 +367,9 @@ func (c *Core) lookupProducer(reg uint8) prodRef {
 	return prodRef{idx: re.idx, seq: re.seq}
 }
 
-// ready reports whether an instruction's operands have been produced.
+// ready reports whether an instruction's operands have been produced, by
+// looking at the producers themselves — the scan the wakeup counts replace,
+// kept as the paranoid-mode reference.
 func (c *Core) ready(r *robE) bool {
 	for _, s := range r.src {
 		if s.idx < 0 {
@@ -387,38 +415,62 @@ func (c *Core) memAddr(r *robE) uint64 {
 }
 
 // issue selects ready instructions per issue queue, oldest first, up to each
-// queue's issue width.
+// queue's issue width.  Only memory operations have side effects at issue
+// (cache accesses), and they all share one queue, so draining the queues one
+// after another issues in the same order as one oldest-first pass would.
 func (c *Core) issue() {
+	if c.paranoid {
+		c.checkReady()
+	}
 	budget := [numIQ]int{c.cfg.NumALU, c.cfg.NumMem, c.cfg.NumFP}
-	left := c.iqUsed[iqInt] + c.iqUsed[iqMem] + c.iqUsed[iqFP]
-	for i := 0; i < c.robCount && left > 0; i++ {
-		r := c.robAt(i)
-		if r.state != 0 {
-			continue
-		}
-		left--
-		if budget[r.iq] == 0 || !c.ready(r) {
-			if c.cfg.InOrderIssue {
-				return // in-order pipelines stall behind the oldest hazard
+	if c.cfg.InOrderIssue {
+		// Waiting instructions are the youngest ROB entries; stall behind
+		// the oldest of them when it cannot issue, ready or not.
+		waiting := c.iqUsed[iqInt] + c.iqUsed[iqMem] + c.iqUsed[iqFP]
+		for i := c.robCount - waiting; i < c.robCount; i++ {
+			idx := c.robIdx(i)
+			r := &c.rob[idx]
+			if budget[r.iq] == 0 || r.waitOps != 0 {
+				return
 			}
-			continue
+			budget[r.iq]--
+			c.issueSlot(int32(idx))
 		}
-		budget[r.iq]--
-		c.iqUsed[r.iq]--
-		r.state = 1
-		r.doneAt = c.cycle + uint64(c.execLatency(r))
+		return
+	}
+	for iq := range c.readyQ {
+		q := &c.readyQ[iq]
+		for n := budget[iq]; n > 0 && q.n > 0; n-- {
+			c.issueSlot(q.popFront())
+		}
 	}
 }
 
-// writeback completes issued instructions and resolves correct-path control
-// flow; a misprediction triggers the full flush-and-redirect sequence.
+// issueSlot starts one ready instruction and files it in the completion
+// wheel.  A zero-latency instruction completes at the next writeback, as it
+// would if writeback scanned for doneAt <= cycle.
+func (c *Core) issueSlot(idx int32) {
+	r := &c.rob[idx]
+	c.iqUsed[r.iq]--
+	r.state = 1
+	r.doneAt = c.cycle + uint64(c.execLatency(r))
+	c.wheelInsert(idx, max(r.doneAt, c.cycle+1))
+}
+
+// writeback completes this cycle's bucket of the completion wheel oldest
+// first, waking consumers and resolving correct-path control flow; a
+// misprediction triggers the full flush-and-redirect sequence.
 func (c *Core) writeback() {
-	for i := 0; i < c.robCount; i++ {
-		r := c.robAt(i)
-		if r.state != 1 || r.doneAt > c.cycle {
-			continue
-		}
+	if c.paranoid {
+		c.checkCompleting()
+	}
+	head := &c.wheel[c.cycle&c.wheelMask]
+	for *head >= 0 {
+		idx := *head
+		r := &c.rob[idx]
+		*head = r.next
 		r.state = 2
+		c.wake(idx)
 		f := &r.fb
 		if !f.correct || f.predicated || f.inst == nil || !f.inst.Kind.IsCFI() {
 			continue
@@ -428,7 +480,9 @@ func (c *Core) writeback() {
 			continue
 		}
 		r.misp, r.dirMisp, r.tgtMisp = true, res.DirMisp, res.TgtMisp
+		// The rest of the bucket is younger than r: the flush removes it.
 		c.flushAfter(r, res.Redirect)
+		return
 	}
 }
 
@@ -437,14 +491,20 @@ func (c *Core) writeback() {
 // state, and the oracle window cursor; then redirects fetch.
 func (c *Core) flushAfter(r *robE, redirect uint64) {
 	branchSeq := r.fb.seq
-	// ROB tail flush.
+	// ROB tail flush, youngest first: a squashed instruction's consumers
+	// are younger, so they have left its consumer list before it goes.
 	for c.robCount > 0 {
-		tail := c.robAt(c.robCount - 1)
+		tidx := c.robIdx(c.robCount - 1)
+		tail := &c.rob[tidx]
 		if tail.fb.seq <= branchSeq {
 			break
 		}
-		if tail.state == 0 {
+		switch tail.state {
+		case 0:
 			c.iqUsed[tail.iq]--
+			c.unlinkOperands(int32(tidx), tail)
+		case 1:
+			c.wheelRemove(int32(tidx))
 		}
 		if tail.fb.inst != nil {
 			switch tail.fb.inst.Class {
@@ -454,14 +514,17 @@ func (c *Core) flushAfter(r *robE, redirect uint64) {
 				c.stqUsed--
 			}
 		}
-		c.unpend(tail.fb.entrySeq, false)
+		c.unpend(&tail.fb, false)
 		tail.valid = false
 		c.robCount--
+	}
+	for iq := range c.readyQ {
+		c.readyQ[iq].truncate(branchSeq)
 	}
 	// Fetch buffer and in-flight packets are all younger than a resolving
 	// branch (in-order frontend).
 	for i := c.fbHead; i < len(c.fb); i++ {
-		c.unpend(c.fb[i].entrySeq, false)
+		c.unpend(&c.fb[i], false)
 	}
 	c.fb, c.fbHead = c.fb[:0], 0
 	for _, pk := range c.inflight {
@@ -581,7 +644,7 @@ func (c *Core) commit() {
 				*re = renameEntry{}
 			}
 		}
-		c.unpend(f.entrySeq, true)
+		c.unpend(f, true)
 		// Prune committed RAS checkpoints.
 		for c.rasHead < len(c.rasCps) && c.rasCps[c.rasHead].entrySeq < f.entrySeq {
 			c.rasHead++

@@ -48,11 +48,14 @@ type fbInst struct {
 
 // stepBuffer windows the oracle's committed stream so fetch can rewind after
 // a mispredict (flushed correct-path instructions are refetched and must be
-// served the same architectural steps).
+// served the same architectural steps).  Committed steps leave through a
+// head index; the live window is copied down only when an append finds the
+// backing array full, so the buffer's allocation is reused for the whole run.
 type stepBuffer struct {
 	oracle *program.Oracle
 	steps  []program.Step
-	base   uint64 // index of steps[0]
+	head   int    // position of the oldest retained step in steps
+	base   uint64 // oracle index of steps[head]
 	cursor uint64 // next step to deliver
 }
 
@@ -61,10 +64,14 @@ func newStepBuffer(o *program.Oracle) *stepBuffer {
 }
 
 func (s *stepBuffer) peek() *program.Step {
-	for s.cursor >= s.base+uint64(len(s.steps)) {
+	for s.cursor >= s.base+uint64(len(s.steps)-s.head) {
+		if s.head > 0 && len(s.steps) == cap(s.steps) {
+			n := copy(s.steps, s.steps[s.head:])
+			s.steps, s.head = s.steps[:n], 0
+		}
 		s.steps = append(s.steps, s.oracle.Next())
 	}
-	return &s.steps[s.cursor-s.base]
+	return &s.steps[s.head+int(s.cursor-s.base)]
 }
 
 func (s *stepBuffer) consume() uint64 {
@@ -85,12 +92,12 @@ func (s *stepBuffer) prune(idx uint64) {
 	if idx <= s.base {
 		return
 	}
-	n := idx - s.base
-	if n > uint64(len(s.steps)) {
-		n = uint64(len(s.steps))
-	}
-	s.steps = append(s.steps[:0], s.steps[n:]...)
+	n := min(idx-s.base, uint64(len(s.steps)-s.head))
+	s.head += int(n)
 	s.base += n
+	if s.head == len(s.steps) {
+		s.steps, s.head = s.steps[:0], 0
+	}
 }
 
 type rasCp struct {
@@ -453,7 +460,6 @@ func (c *Core) frontendAdvance() {
 		prev := pk.age
 		pk.age++
 		// Deeper-stage override checks (redirect on next-PC change).
-		redirected := false
 		for d := prev + 1; d <= pk.age && d <= len(pk.stages); d++ {
 			if d < 2 {
 				continue
@@ -469,10 +475,8 @@ func (c *Core) frontendAdvance() {
 				c.fetchPC = next
 				c.S.RedirectFlushes++
 				c.emitRedirect(pk.e.Seq(), next)
-				redirected = true
 			}
 		}
-		_ = redirected
 		if pk.age >= len(pk.stages) {
 			if !pk.predecoded {
 				c.predecode(pk)
