@@ -10,16 +10,20 @@
 //	cobra-experiments -exp fig10 -server http://localhost:8080
 //
 // Experiment ids: table1 table2 table3 fig8 fig9 fig10 d1 d2 d3 d4
-// tracegap ablation-loop ablation-ubtb ablation-meta h2p all
+// tracegap energy h2p shootout ablation-loop ablation-ubtb ablation-meta
+// ablation-width all
 //
-// Each experiment's independent simulations fan out across -j worker
+// Every simulated experiment is a grid of canonical RunSpecs — point i
+// carries seed Derive(-seed, i) — run through one backend across -j worker
 // goroutines (default GOMAXPROCS); results are bit-identical for every -j,
-// with -j 1 forcing the serial path.  With -server the same grids execute
-// on a cobra-serve daemon through the unified backend — tables identical to
-// local, because every grid point is a canonical RunSpec carrying its
-// derived seed.  Long runs can be watched live with -progress (periodic
-// stderr status), -metrics-addr (Prometheus text endpoint), and -pprof-addr
-// (net/http/pprof + runtime trace).
+// with -j 1 forcing the serial path.  With -server the grids execute on a
+// cobra-serve daemon — tables identical to local, because the daemon runs
+// the same spec — except energy and h2p, which read in-process pipeline
+// handles and always run locally.  -print-digest lists every grid spec's
+// digest on stderr.  -timeout bounds each simulation; a failed grid exits 1
+// with a one-line error.  Long runs can be watched live with -progress
+// (periodic stderr status), -metrics-addr (Prometheus text endpoint), and
+// -pprof-addr (net/http/pprof + runtime trace).
 package main
 
 import (
@@ -75,16 +79,12 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "run %s: phase=%s cycles=%d\n", id, ev.Phase, ev.Cycles)
 		}
 	}
-	met, progress, closeTel, err := f.Telemetry("cobra-experiments")
+	met, closeTel, err := f.Telemetry("cobra-experiments")
 	if err != nil {
 		return err
 	}
 	defer closeTel()
 	cfg.Metrics = met
-	if progress > 0 {
-		cfg.Progress = os.Stderr
-		cfg.ProgressEvery = progress
-	}
 	// One flag decides where grids run; the grids themselves don't care.
 	cfg.Backend, _, err = f.ResolveBackend("cobra-experiments", met, onProgress)
 	if err != nil {

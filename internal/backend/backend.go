@@ -1,21 +1,20 @@
 // Package backend is the unified execution seam between "what to run" (a
-// canonical spec.RunSpec) and "where to run it".  Every tool used to make
-// that choice itself — cobra-sim had a runRemote fork, cobra-experiments
-// threaded a *client.Client through its Config, and anything new had to
-// re-invent both — so the choice is now one interface with two
-// implementations:
+// canonical spec.RunSpec) and "where to run it".  The choice is one
+// interface with two implementations:
 //
 //   - Local executes in-process through runner.RunSpecs, inheriting its
 //     panic containment, metrics accounting, and per-spec timeouts;
 //   - Remote submits to a cobra-serve daemon through the retrying client,
 //     riding out restarts, backpressure, and drains.
 //
-// Both return the same *spec.Outcome for the same spec, byte-identically:
-// the spec digest pins the simulation, and the daemon runs the same
-// spec.Exec this process would.  Callers therefore never branch on the
-// backend kind for correctness — only for capabilities a remote result
-// cannot carry (the live pipeline handle, attribution profiles), which is
-// what Outcome's nil fields express.
+// Every grid-shaped caller — each experiment of cobra-experiments, each
+// fleet service — runs its specs through All on one of them.  Both return
+// the same *spec.Outcome for the same spec, byte-identically: the spec
+// digest pins the simulation (fetch geometry included), and the daemon runs
+// the same spec.Exec this process would.  Callers therefore never branch
+// on the backend kind for correctness — only for capabilities a remote
+// result cannot carry (the live pipeline handle, attribution profiles),
+// which is what Outcome's nil fields express.
 package backend
 
 import (

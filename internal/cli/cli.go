@@ -43,7 +43,8 @@ const (
 	GEvents
 	// GTelemetry registers -metrics-addr/-pprof-addr.
 	GTelemetry
-	// GProgress registers -progress (the periodic runner status line).
+	// GProgress registers -progress (the periodic status line Telemetry
+	// prints).
 	GProgress
 	// GServer registers -server (remote execution on a cobra-serve daemon).
 	GServer
@@ -283,11 +284,8 @@ func (f *RunFlags) Spec() (*spec.RunSpec, error) {
 	if f.Paranoid != nil {
 		s.Paranoid = s.Paranoid || *f.Paranoid
 	}
-	if f.Timeout != nil && *f.Timeout > 0 {
-		s.TimeoutMS = f.Timeout.Milliseconds()
-		if s.TimeoutMS == 0 {
-			s.TimeoutMS = 1 // sub-millisecond budgets still time out
-		}
+	if f.Timeout != nil {
+		s.TimeoutMS = spec.TimeoutMillis(*f.Timeout)
 	}
 	if f.Faults != nil && (*f.Faults != "" || *f.FaultPeriod > 0) {
 		if *f.Faults == "" || *f.FaultPeriod == 0 {
@@ -336,10 +334,11 @@ func (f *RunFlags) WantSparkline() bool { return f.Sparkline != nil && *f.Sparkl
 func Preset(name string) (*spec.RunSpec, error) { return spec.Preset(name) }
 
 // Telemetry wires the -metrics-addr/-pprof-addr/-progress flags: it creates
-// a metrics sink when anything needs one, starts the listeners, and returns
-// the sink (possibly nil), the progress period (0 = off), and a closer that
-// releases the listeners.  Endpoint addresses are announced on stderr.
-func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, time.Duration, func(), error) {
+// a metrics sink when anything needs one, starts the listeners and the
+// periodic -progress status line on stderr, and returns the sink (possibly
+// nil) and a closer that stops the status line and releases the listeners.
+// Endpoint addresses are announced on stderr.
+func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, func(), error) {
 	var (
 		met      *obs.Metrics
 		progress time.Duration
@@ -359,7 +358,7 @@ func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, time.Duration, func(), 
 	if addr := str(f.MetricsAddr); addr != "" {
 		bound, close, err := obs.ServeMetrics(addr, met)
 		if err != nil {
-			return nil, 0, nil, fmt.Errorf("metrics listener: %w", err)
+			return nil, nil, fmt.Errorf("metrics listener: %w", err)
 		}
 		closers = append(closers, close)
 		slog.Info("serving metrics", "tool", tool, "url", "http://"+bound+"/metrics")
@@ -368,12 +367,37 @@ func (f *RunFlags) Telemetry(tool string) (*obs.Metrics, time.Duration, func(), 
 		bound, close, err := obs.ServePprof(addr)
 		if err != nil {
 			closeAll()
-			return nil, 0, nil, fmt.Errorf("pprof listener: %w", err)
+			return nil, nil, fmt.Errorf("pprof listener: %w", err)
 		}
 		closers = append(closers, close)
 		slog.Info("serving pprof", "tool", tool, "url", "http://"+bound+"/debug/pprof/")
 	}
-	return met, progress, closeAll, nil
+	if progress > 0 {
+		closers = append(closers, reportProgress(os.Stderr, progress, met))
+	}
+	return met, closeAll, nil
+}
+
+// reportProgress writes met's one-line status report to w every period
+// until the returned stop func is called.  Stop waits for an in-flight
+// write, so the caller may reuse w as soon as it returns.
+func reportProgress(w io.Writer, every time.Duration, met *obs.Metrics) (stop func() error) {
+	tick := time.NewTicker(every)
+	done := make(chan struct{})
+	idle := make(chan struct{})
+	go func() {
+		defer close(idle)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				fmt.Fprintln(w, met.ProgressLine())
+			}
+		}
+	}()
+	return func() error { close(done); <-idle; return nil }
 }
 
 // Main wraps a tool's entry point with the shared error convention

@@ -16,21 +16,14 @@ func TestParallelismEquivalence(t *testing.T) {
 	}
 	levels := []int{1, 4, runtime.GOMAXPROCS(0)}
 
-	render := map[string]func(Config) string{
-		"fig10": func(cfg Config) string {
-			_, table := Fig10(cfg)
-			return table.String()
-		},
-		"shootout": func(cfg Config) string {
-			return Shootout(cfg).String()
-		},
-	}
-
-	for name, fn := range render {
+	for _, name := range []string{"fig10", "shootout"} {
 		t.Run(name, func(t *testing.T) {
 			var base string
 			for i, j := range levels {
-				got := fn(Config{Insts: 50_000, Seed: 42, Parallelism: j})
+				got, err := Render(name, Config{Insts: 50_000, Seed: 42, Parallelism: j})
+				if err != nil {
+					t.Fatal(err)
+				}
 				if i == 0 {
 					base = got
 					continue

@@ -34,43 +34,36 @@ type Config struct {
 	Warmup uint64 // instructions discarded before measurement
 	Seed   uint64
 
-	// Parallelism caps the worker goroutines the runner fans simulations
-	// out on: 0 means GOMAXPROCS, 1 forces the serial path.  Results are
-	// bit-identical for every value (see internal/runner).
+	// Parallelism caps the worker goroutines a grid fans out on: 0 means
+	// GOMAXPROCS, 1 forces the serial path.  Results are bit-identical for
+	// every value (see internal/runner).
 	Parallelism int
 
 	// Paranoid arms the pipeline invariant checker on every simulated
-	// design; any violation fails the experiment loudly.  The checker is
-	// observation-only, so tables are byte-identical either way.
+	// design; any violation fails the experiment with an error.  The checker
+	// is observation-only, so tables are byte-identical either way.
 	Paranoid bool
 
-	// Timeout, when > 0, bounds each simulation's wall-clock time via the
-	// runner's per-job context.
+	// Timeout, when > 0, bounds each simulation's wall-clock time (the
+	// spec's timeout_ms, rounded up to whole milliseconds).
 	Timeout time.Duration
 
 	// Metrics, when non-nil, receives live batch telemetry from every grid
-	// the experiments fan out (served by cobra-experiments -metrics-addr).
+	// the experiments run locally (served by cobra-experiments
+	// -metrics-addr).
 	Metrics *obs.Metrics
 
-	// Backend, when non-nil, executes every runAll grid through the unified
-	// Backend interface instead of the in-process fast path: each grid
-	// point becomes a canonical RunSpec carrying the exact per-index seed
-	// the local runner would derive, so the returned counters are
-	// byte-identical either way — for a backend.Local trivially, and for a
-	// backend.Remote because the daemon runs the same spec.Exec.
-	// Experiments that need in-process handles (pipeline inspection for
-	// energy accounting, attribution profiles, pre-built programs) keep
-	// running locally regardless.
+	// Backend executes every grid; nil means a backend.Local over Metrics.
+	// Each grid point is a canonical RunSpec carrying its own seed, so the
+	// counters — and every printed table cell — are byte-identical on any
+	// backend: a backend.Remote's daemon runs the same spec.Exec.  Energy
+	// and H2P need in-process handles (the pipeline, the attribution
+	// profile) and always run locally.
 	Backend backend.Backend
 	// Digests, when non-nil, receives one "digest=<sha256>" line per grid
-	// spec before it runs (Backend path only) — the shared -print-digest
-	// surface of the CLI tools.
+	// spec before it runs — the shared -print-digest surface of the CLI
+	// tools.
 	Digests io.Writer
-	// Progress, when non-nil, gets a periodic one-line status report while
-	// a grid runs (cobra-experiments -progress).
-	Progress io.Writer
-	// ProgressEvery overrides the progress period (default 5s).
-	ProgressEvery time.Duration
 }
 
 // Defaults fills zero fields.
@@ -109,119 +102,70 @@ func pipeline(d design) *compose.Pipeline {
 	return p
 }
 
-// run executes one (design, workload) full-core simulation with the batch
-// base seed, discarding the warm-up slice when configured.  Only TraceGap
-// still uses this direct path: its in-core run must share cfg.Seed with the
-// trace capture it is compared against.  Every other experiment submits its
-// grid to the parallel runner via runAll.
-func run(d design, workload string, core uarch.Config, cfg Config) *stats.Sim {
-	d.opt.Paranoid = d.opt.Paranoid || cfg.Paranoid
-	bp := pipeline(d)
-	prog, err := workloads.Get(workload)
-	if err != nil {
-		panic(err)
+// grid collects an experiment's simulations as RunSpecs.  Point i runs with
+// seed Derive(cfg.Seed, i), so its dynamics depend only on its position in
+// the grid — never on which worker or backend ran it.
+type grid struct {
+	cfg   Config
+	specs []*spec.RunSpec
+}
+
+// add appends the grid point running design d on workload w on core.
+func (g *grid) add(d design, w string, core uarch.Config) *spec.RunSpec {
+	s := &spec.RunSpec{
+		Topology:  d.topo,
+		Pipeline:  spec.FromOptions(d.opt),
+		Workload:  w,
+		Seed:      runner.Derive(g.cfg.Seed, uint64(len(g.specs))),
+		Insts:     g.cfg.Insts,
+		Warmup:    g.cfg.Warmup,
+		Core:      &core,
+		Paranoid:  d.opt.Paranoid || g.cfg.Paranoid,
+		TimeoutMS: spec.TimeoutMillis(g.cfg.Timeout),
 	}
-	c := uarch.NewCore(core, bp, prog, cfg.Seed)
-	if cfg.Warmup > 0 {
-		c.Run(cfg.Warmup)
-		c.ResetStats()
-	}
-	s := c.Run(cfg.Insts)
-	checkParanoid(d.topo, workload, bp)
+	g.specs = append(g.specs, s)
 	return s
 }
 
-// checkParanoid fails an experiment loudly on invariant violations (only
-// possible when paranoid mode is armed).
-func checkParanoid(topo, workload string, p *compose.Pipeline) {
-	if p == nil || p.ViolationCount() == 0 {
-		return
+// run executes the grid on Config.Backend (a backend.Local when nil).
+func (g *grid) run() ([]*stats.Sim, error) {
+	be := g.cfg.Backend
+	if be == nil {
+		be = g.cfg.local()
 	}
-	panic(fmt.Sprintf("experiments: %d invariant violations (%q on %s); first: %v",
-		p.ViolationCount(), topo, workload, p.Violations()[0]))
-}
-
-// job describes one grid point for the parallel runner.
-func (c Config) job(d design, workload string, core uarch.Config) runner.Sim {
-	opt := d.opt
-	opt.Paranoid = opt.Paranoid || c.Paranoid
-	return runner.Sim{
-		Topology: d.topo, Opt: opt, Workload: workload,
-		Core: core, Insts: c.Insts, Warmup: c.Warmup,
-	}
-}
-
-// runnerOptions builds the batch options an experiment grid runs under.
-func (c Config) runnerOptions() runner.Options {
-	return runner.Options{Workers: c.Parallelism, Seed: c.Seed, Timeout: c.Timeout,
-		Metrics: c.Metrics, Progress: c.Progress, ProgressEvery: c.ProgressEvery}
-}
-
-// runAll fans an experiment's independent simulations out across
-// c.Parallelism workers; results come back in submission order.  With
-// Config.Backend set the same grid executes through the unified backend
-// instead, byte-identically (see runAllBackend).
-func (c Config) runAll(jobs []runner.Sim) []*stats.Sim {
-	if c.Backend != nil && remotable(jobs) {
-		return c.runAllBackend(jobs)
-	}
-	full, err := runner.RunFull(jobs, c.runnerOptions())
+	outs, err := g.runOn(be)
 	if err != nil {
-		panic("experiments: " + err.Error())
+		return nil, err
 	}
-	out := make([]*stats.Sim, len(full))
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
-		out[i] = r.Sim
-	}
-	return out
-}
-
-// remotable reports whether every job in a grid can be described as a
-// RunSpec: jobs carrying a pre-built program (custom fetch geometries) have
-// no workload reference and must run in-process.
-func remotable(jobs []runner.Sim) bool {
-	for _, j := range jobs {
-		if j.Prog != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// runAllBackend submits a grid to Config.Backend.  Job i becomes the
-// canonical RunSpec with seed Derive(c.Seed, i) — exactly the seed the local
-// RunFull path would hand it — so the backend's counters (and therefore
-// every printed table cell) match the in-process fast path bit for bit.
-// The paranoid guard still holds: the spec carries the flag and spec.Exec
-// fails the run on any invariant violation, which surfaces here as a run
-// error.  Failures panic like the local path does.
-func (c Config) runAllBackend(jobs []runner.Sim) []*stats.Sim {
-	specs := make([]*spec.RunSpec, len(jobs))
-	for i := range jobs {
-		sp, err := runner.FromSim(jobs[i], runner.Derive(c.Seed, uint64(i)))
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %q on %s: %v", jobs[i].Topology, jobs[i].Workload, err))
-		}
-		specs[i] = sp
-		if c.Digests != nil {
-			d, err := sp.Digest()
-			if err != nil {
-				panic("experiments: " + err.Error())
-			}
-			fmt.Fprintf(c.Digests, "digest=%s\n", d)
-		}
-	}
-	outs, err := backend.All(context.Background(), c.Backend, specs, c.Parallelism)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: backend %s: %v", c.Backend.Name(), err))
-	}
-	out := make([]*stats.Sim, len(outs))
+	res := make([]*stats.Sim, len(outs))
 	for i, o := range outs {
-		out[i] = o.Stats
+		res[i] = o.Stats
 	}
-	return out
+	return res, nil
 }
+
+// runOn executes the grid on be across cfg.Parallelism workers, emitting
+// each spec's digest first.  Any failed point fails the grid.
+func (g *grid) runOn(be backend.Backend) ([]*spec.Outcome, error) {
+	if g.cfg.Digests != nil {
+		for _, s := range g.specs {
+			d, err := s.Digest()
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(g.cfg.Digests, "digest=%s\n", d)
+		}
+	}
+	outs, err := backend.All(context.Background(), be, g.specs, g.cfg.Parallelism)
+	if err != nil {
+		return nil, fmt.Errorf("backend %s: %w", be.Name(), err)
+	}
+	return outs, nil
+}
+
+// local is the in-process backend, for grids that need Outcome handles a
+// remote result cannot carry.
+func (c Config) local() backend.Backend { return &backend.Local{Metrics: c.Metrics} }
 
 // ---- Table I ----
 
@@ -347,22 +291,24 @@ var Fig10Systems = []string{"skylake", "graviton", "tourney", "b2", "tage-l"}
 // Fig10 runs the 10 SPECint proxies across the five systems — a 50-point
 // embarrassingly parallel grid — and returns per-benchmark rows plus a
 // rendered table with HARMEAN summary rows.
-func Fig10(cfg Config) ([]Fig10Row, *stats.Table) {
-	cfg = cfg.Defaults()
+func Fig10(cfg Config) ([]Fig10Row, *stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	type point struct{ workload, system string }
-	var jobs []runner.Sim
-	var grid []point
+	var points []point
 	for _, w := range workloads.Names() {
 		for _, sys := range commercial.Systems() {
-			jobs = append(jobs, cfg.job(design{sys.Name, sys.Topology, sys.Opt}, w, sys.Core))
-			grid = append(grid, point{w, sys.Name})
+			g.add(design{sys.Name, sys.Topology, sys.Opt}, w, sys.Core)
+			points = append(points, point{w, sys.Name})
 		}
 		for _, d := range designs() {
-			jobs = append(jobs, cfg.job(d, w, uarch.DefaultConfig()))
-			grid = append(grid, point{w, d.name})
+			g.add(d, w, uarch.DefaultConfig())
+			points = append(points, point{w, d.name})
 		}
 	}
-	results := cfg.runAll(jobs)
+	results, err := g.run()
+	if err != nil {
+		return nil, nil, err
+	}
 	rows := make([]Fig10Row, 0, 10)
 	byName := map[string]*Fig10Row{}
 	for _, w := range workloads.Names() {
@@ -370,11 +316,11 @@ func Fig10(cfg Config) ([]Fig10Row, *stats.Table) {
 		byName[w] = &rows[len(rows)-1]
 	}
 	for i, res := range results {
-		row := byName[grid[i].workload]
-		row.MPKI[grid[i].system] = res.MPKI()
-		row.IPC[grid[i].system] = res.IPC()
+		row := byName[points[i].workload]
+		row.MPKI[points[i].system] = res.MPKI()
+		row.IPC[points[i].system] = res.IPC()
 	}
-	return rows, renderFig10(rows)
+	return rows, renderFig10(rows), nil
 }
 
 func renderFig10(rows []Fig10Row) *stats.Table {
@@ -430,8 +376,8 @@ func positive(xs []float64) []float64 {
 
 // SerializedFetch compares superscalar vs serialized fetch on Dhrystone
 // (the paper measured a 15% IPC drop).
-func SerializedFetch(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func SerializedFetch(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "D1 — serializing fetch behind branches (paper: -15% IPC on Dhrystone)",
 		Headers: []string{"fetch mode", "IPC", "MPKI", "delta-IPC"},
@@ -439,34 +385,39 @@ func SerializedFetch(cfg Config) *stats.Table {
 	base := uarch.DefaultConfig()
 	serialCfg := base
 	serialCfg.SerializedFetch = true
-	res := cfg.runAll([]runner.Sim{
-		cfg.job(designs()[2], "dhrystone", base),
-		cfg.job(designs()[2], "dhrystone", serialCfg),
-	})
+	g.add(designs()[2], "dhrystone", base)
+	g.add(designs()[2], "dhrystone", serialCfg)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	wide, serial := res[0], res[1]
 	t.AddRow("superscalar", fmt.Sprintf("%.3f", wide.IPC()), fmt.Sprintf("%.2f", wide.MPKI()), "-")
 	t.AddRow("serialized", fmt.Sprintf("%.3f", serial.IPC()), fmt.Sprintf("%.2f", serial.MPKI()),
 		fmt.Sprintf("%+.1f%%", (serial.IPC()/wide.IPC()-1)*100))
-	return t
+	return t, nil
 }
 
 // ---- §VI-A / D2: TAGE latency ----
 
 // TageLatency compares a 2-cycle vs 3-cycle TAGE inside the TAGE-L topology
 // (paper: no accuracy change, ~1% IPC cost) across the SPEC proxies.
-func TageLatency(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func TageLatency(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "D2 — TAGE response latency 2 vs 3 cycles (paper: ~equal accuracy, ~1% IPC)",
 		Headers: []string{"workload", "IPC@2", "IPC@3", "delta-IPC", "acc@2", "acc@3"},
 	}
 	d2 := design{"tage-l2", "LOOP3 > TAGE2 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}}
 	d3 := designs()[2]
-	var jobs []runner.Sim
 	for _, w := range workloads.Names() {
-		jobs = append(jobs, cfg.job(d2, w, uarch.DefaultConfig()), cfg.job(d3, w, uarch.DefaultConfig()))
+		g.add(d2, w, uarch.DefaultConfig())
+		g.add(d3, w, uarch.DefaultConfig())
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	var deltas []float64
 	for i, w := range workloads.Names() {
 		r2, r3 := res[2*i], res[2*i+1]
@@ -479,7 +430,7 @@ func TageLatency(cfg Config) *stats.Table {
 	}
 	sort.Float64s(deltas)
 	t.AddRow("median", "", "", fmt.Sprintf("%+.2f%%", deltas[len(deltas)/2]), "", "")
-	return t
+	return t, nil
 }
 
 // ---- §VI-B / D3: global history repair policy ----
@@ -487,23 +438,25 @@ func TageLatency(cfg Config) *stats.Table {
 // HistoryRepair compares GHR policies across the SPEC proxies and Dhrystone
 // (paper: repair+replay gives +15% IPC and -25% mispredicts over
 // repair-without-replay on SPEC, but -3% IPC on Dhrystone).
-func HistoryRepair(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func HistoryRepair(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "D3 — global history repair policy (§VI-B)",
 		Headers: []string{"workload", "IPC none", "IPC repair", "IPC replay", "misp none", "misp repair", "misp replay"},
 	}
 	pols := []compose.GHRPolicy{compose.GHRNoRepair, compose.GHRRepair, compose.GHRRepairReplay}
 	names := append(workloads.Names(), "dhrystone")
-	var jobs []runner.Sim
 	for _, w := range names {
 		for _, pol := range pols {
 			d := designs()[2]
 			d.opt.GHRPolicy = pol
-			jobs = append(jobs, cfg.job(d, w, uarch.DefaultConfig()))
+			g.add(d, w, uarch.DefaultConfig())
 		}
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	var ipc [3][]float64
 	var misp [3]uint64
 	for wi, w := range names {
@@ -525,15 +478,15 @@ func HistoryRepair(cfg Config) *stats.Table {
 	t.AddRow("SPEC HARMEAN",
 		fmt.Sprintf("%.3f", h0), fmt.Sprintf("%.3f", h1), fmt.Sprintf("%.3f", h2),
 		fmt.Sprintf("%d", misp[0]), fmt.Sprintf("%d", misp[1]), fmt.Sprintf("%d", misp[2]))
-	return t
+	return t, nil
 }
 
 // ---- §VI-C / D4: short-forwards-branch predication ----
 
 // SFB compares the hammock-predication optimization on the CoreMark proxy
 // (paper: 4.9 -> 6.1 CoreMarks/MHz, 97% -> 99.1% accuracy).
-func SFB(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func SFB(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "D4 — short-forwards-branch predication on CoreMark (§VI-C)",
 		Headers: []string{"SFB", "IPC (CoreMarks/MHz proxy)", "accuracy", "MPKI"},
@@ -541,16 +494,18 @@ func SFB(cfg Config) *stats.Table {
 	base := uarch.DefaultConfig()
 	sfbCfg := base
 	sfbCfg.SFB = true
-	res := cfg.runAll([]runner.Sim{
-		cfg.job(designs()[2], "coremark", base),
-		cfg.job(designs()[2], "coremark", sfbCfg),
-	})
+	g.add(designs()[2], "coremark", base)
+	g.add(designs()[2], "coremark", sfbCfg)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	off, on := res[0], res[1]
 	t.AddRow("off", fmt.Sprintf("%.3f", off.IPC()),
 		fmt.Sprintf("%.2f%%", off.Accuracy()*100), fmt.Sprintf("%.2f", off.MPKI()))
 	t.AddRow("on", fmt.Sprintf("%.3f", on.IPC()),
 		fmt.Sprintf("%.2f%%", on.Accuracy()*100), fmt.Sprintf("%.2f", on.MPKI()))
-	return t
+	return t, nil
 }
 
 // ---- §II-B: trace-driven vs in-core accuracy ----
@@ -558,48 +513,68 @@ func SFB(cfg Config) *stats.Table {
 // TraceGap quantifies software-trace-simulator modelling error: the same
 // composed predictor evaluated under idealized trace conditions vs inside
 // the speculating core.
-func TraceGap(cfg Config) *stats.Table {
+func TraceGap(cfg Config) (*stats.Table, error) {
 	cfg = cfg.Defaults()
 	// Both methodologies must start cold: the trace evaluator has no
 	// warm-up notion, so the in-core run drops its warm-up slice too.
 	cfg.Warmup = 0
+	g := grid{cfg: cfg}
 	t := &stats.Table{
 		Title:   "Trace-driven vs in-core accuracy for identical predictor RTL (§II-B)",
 		Headers: []string{"design", "workload", "trace acc", "in-core acc", "gap"},
 	}
+	var traced []float64
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "leela"} {
-			prog, err := workloads.Get(w)
+			acc, err := traceAccuracy(d, w, cfg)
 			if err != nil {
-				panic(err)
+				return nil, err
 			}
-			var buf bytes.Buffer
-			if _, err := trace.Capture(&buf, prog, cfg.Seed, cfg.Insts); err != nil {
-				panic(err)
-			}
-			tr, err := trace.NewReader(&buf)
-			if err != nil {
-				panic(err)
-			}
-			tres, err := trace.Simulate(pipeline(d), tr)
-			if err != nil {
-				panic(err)
-			}
-			cres := run(d, w, uarch.DefaultConfig(), cfg)
-			t.AddRow(d.name, w,
-				fmt.Sprintf("%.2f%%", tres.Accuracy()*100),
-				fmt.Sprintf("%.2f%%", cres.Accuracy()*100),
-				fmt.Sprintf("%+.2f pp", (tres.Accuracy()-cres.Accuracy())*100))
+			traced = append(traced, acc)
+			// The in-core run shares the trace capture's seed.
+			g.add(d, w, uarch.DefaultConfig()).Seed = cfg.Seed
 		}
 	}
-	return t
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range g.specs {
+		d := designs()[i/2]
+		t.AddRow(d.name, s.Workload,
+			fmt.Sprintf("%.2f%%", traced[i]*100),
+			fmt.Sprintf("%.2f%%", res[i].Accuracy()*100),
+			fmt.Sprintf("%+.2f pp", (traced[i]-res[i].Accuracy())*100))
+	}
+	return t, nil
+}
+
+// traceAccuracy evaluates design d on a captured trace of workload w.
+func traceAccuracy(d design, w string, cfg Config) (float64, error) {
+	prog, err := workloads.Get(w)
+	if err != nil {
+		return 0, err
+	}
+	var buf bytes.Buffer
+	if _, err := trace.Capture(&buf, prog, cfg.Seed, cfg.Insts); err != nil {
+		return 0, err
+	}
+	tr, err := trace.NewReader(&buf)
+	if err != nil {
+		return 0, err
+	}
+	res, err := trace.Simulate(pipeline(d), tr)
+	if err != nil {
+		return 0, err
+	}
+	return res.Accuracy(), nil
 }
 
 // ---- ablations ----
 
 // AblationLoop measures the loop predictor's contribution to TAGE-L.
-func AblationLoop(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func AblationLoop(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "Ablation — TAGE-L with and without the loop corrector",
 		Headers: []string{"workload", "MPKI with", "MPKI without", "IPC with", "IPC without"},
@@ -607,23 +582,26 @@ func AblationLoop(cfg Config) *stats.Table {
 	with := designs()[2]
 	without := design{"tage-noloop", "TAGE3 > BTB2 > BIM2 > UBTB1", compose.Options{GHistBits: 64}}
 	ws := []string{"x264", "exchange2", "xz", "coremark"}
-	var jobs []runner.Sim
 	for _, w := range ws {
-		jobs = append(jobs, cfg.job(with, w, uarch.DefaultConfig()), cfg.job(without, w, uarch.DefaultConfig()))
+		g.add(with, w, uarch.DefaultConfig())
+		g.add(without, w, uarch.DefaultConfig())
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	for i, w := range ws {
 		a, b := res[2*i], res[2*i+1]
 		t.AddRow(w,
 			fmt.Sprintf("%.2f", a.MPKI()), fmt.Sprintf("%.2f", b.MPKI()),
 			fmt.Sprintf("%.3f", a.IPC()), fmt.Sprintf("%.3f", b.IPC()))
 	}
-	return t
+	return t, nil
 }
 
 // AblationUBTB measures the single-cycle uBTB's redirect-bubble savings.
-func AblationUBTB(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func AblationUBTB(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "Ablation — TAGE-L with and without the single-cycle uBTB",
 		Headers: []string{"workload", "bubbles with", "bubbles without", "IPC with", "IPC without"},
@@ -631,25 +609,28 @@ func AblationUBTB(cfg Config) *stats.Table {
 	with := designs()[2]
 	without := design{"tage-noubtb", "LOOP3 > TAGE3 > BTB2 > BIM2", compose.Options{GHistBits: 64}}
 	ws := []string{"dhrystone", "gcc", "xalancbmk"}
-	var jobs []runner.Sim
 	for _, w := range ws {
-		jobs = append(jobs, cfg.job(with, w, uarch.DefaultConfig()), cfg.job(without, w, uarch.DefaultConfig()))
+		g.add(with, w, uarch.DefaultConfig())
+		g.add(without, w, uarch.DefaultConfig())
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	for i, w := range ws {
 		a, b := res[2*i], res[2*i+1]
 		t.AddRow(w,
 			fmt.Sprintf("%.1f%%", a.BubbleFrac()*100), fmt.Sprintf("%.1f%%", b.BubbleFrac()*100),
 			fmt.Sprintf("%.3f", a.IPC()), fmt.Sprintf("%.3f", b.IPC()))
 	}
-	return t
+	return t, nil
 }
 
 // Shootout races every direction-predictor component in the library as the
 // top of a common "X > BTB2 > BIM2" topology — the quick design-space sweep
 // COBRA's reuse story enables (one line of topology per candidate).
-func Shootout(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func Shootout(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "Library shootout — every direction component over BTB2 > BIM2",
 		Headers: []string{"component", "gcc MPKI", "gcc IPC", "leela MPKI", "leela IPC", "storage KB"},
@@ -657,12 +638,15 @@ func Shootout(cfg Config) *stats.Table {
 	comps := []string{
 		"GBIM3", "GSEL3", "PBIM3", "GSKEW3", "YAGS3", "GTAG3", "PERC3", "GEHL3", "TAGE3",
 	}
-	var jobs []runner.Sim
 	for _, comp := range comps {
 		d := design{comp, comp + " > BTB2 > BIM2", compose.Options{GHistBits: 64}}
-		jobs = append(jobs, cfg.job(d, "gcc", uarch.DefaultConfig()), cfg.job(d, "leela", uarch.DefaultConfig()))
+		g.add(d, "gcc", uarch.DefaultConfig())
+		g.add(d, "leela", uarch.DefaultConfig())
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	for i, comp := range comps {
 		d := design{comp, comp + " > BTB2 > BIM2", compose.Options{GHistBits: 64}}
 		p := pipeline(d)
@@ -676,40 +660,32 @@ func Shootout(cfg Config) *stats.Table {
 			fmt.Sprintf("%.2f", l.MPKI()), fmt.Sprintf("%.3f", l.IPC()),
 			fmt.Sprintf("%.1f", float64(bits)/8/1024))
 	}
-	return t
+	return t, nil
 }
 
 // AblationWidth compares the default 4x4-byte fetch geometry against the
 // paper's 8x2-byte RVC geometry (§III-C: superscalar prediction matters as
 // fetch units widen) with the TAGE-L design on identical program structure.
-func AblationWidth(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func AblationWidth(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "Ablation — fetch geometry: 4x4B vs 8x2B packets (§III-C)",
 		Headers: []string{"workload", "IPC 4-wide", "IPC 8-wide", "delta", "MPKI 4-wide", "MPKI 8-wide"},
 	}
-	job := func(w string, fetch pred.Config, instBytes int) runner.Sim {
-		prof, ok := workloads.GetProfile(w)
-		if !ok {
-			panic("unknown profile " + w)
-		}
-		core := uarch.DefaultConfig()
-		core.Fetch = fetch
-		return runner.Sim{
-			Topology: "LOOP3 > TAGE3 > BTB2 > BIM2 > UBTB1",
-			Opt:      compose.Options{GHistBits: 64},
-			Prog:     workloads.BuildWithGeometry(prof, instBytes),
-			Core:     core, Insts: cfg.Insts, Warmup: cfg.Warmup,
-		}
-	}
+	// The spec builds each workload at the width its core fetches, so the
+	// 8x2B core runs the same program structure laid out in 2-byte slots.
+	tagel := designs()[2]
+	narrowCore, wideCore := uarch.DefaultConfig(), uarch.DefaultConfig()
+	wideCore.Fetch = pred.Config{FetchWidth: 8, InstBytes: 2}
 	ws := []string{"gcc", "x264", "exchange2"}
-	var jobs []runner.Sim
 	for _, w := range ws {
-		jobs = append(jobs,
-			job(w, pred.Config{FetchWidth: 4, InstBytes: 4}, 4),
-			job(w, pred.Config{FetchWidth: 8, InstBytes: 2}, 2))
+		g.add(tagel, w, narrowCore)
+		g.add(tagel, w, wideCore)
 	}
-	res := cfg.runAll(jobs)
+	res, err := g.run()
+	if err != nil {
+		return nil, err
+	}
 	for i, w := range ws {
 		n, wide := res[2*i], res[2*i+1]
 		t.AddRow(w,
@@ -717,7 +693,7 @@ func AblationWidth(cfg Config) *stats.Table {
 			fmt.Sprintf("%+.1f%%", (wide.IPC()/n.IPC()-1)*100),
 			fmt.Sprintf("%.2f", n.MPKI()), fmt.Sprintf("%.2f", wide.MPKI()))
 	}
-	return t
+	return t, nil
 }
 
 // AblationMetadata reports the port/area consequence of the §III-D metadata
@@ -751,31 +727,24 @@ func AblationMetadata() *stats.Table {
 // Energy reports per-design predictor SRAM access energy per kilo-
 // instruction — the §VI-A future-work concern, measurable here because
 // every table is an access-counted memory model.
-func Energy(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func Energy(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title:   "Predictor SRAM access energy (model units per kilo-instruction)",
 		Headers: []string{"design", "workload", "eU/kinst", "top consumer"},
 	}
-	type point struct {
-		d design
-		w string
-	}
-	var grid []point
-	var jobs []runner.Sim
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "x264"} {
-			grid = append(grid, point{d, w})
-			jobs = append(jobs, cfg.job(d, w, uarch.DefaultConfig()))
+			g.add(d, w, uarch.DefaultConfig())
 		}
 	}
-	full, err := runner.RunFull(jobs, cfg.runnerOptions())
+	// Energy reads the post-run pipeline's access counters: local only.
+	outs, err := g.runOn(g.cfg.local())
 	if err != nil {
-		panic("experiments: " + err.Error())
+		return nil, err
 	}
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
-		rep := area.Energy(r.Pipeline)
+	for i, o := range outs {
+		rep := area.Energy(o.Pipeline)
 		top := ""
 		best := -1.0
 		for _, it := range rep.Items {
@@ -783,10 +752,10 @@ func Energy(cfg Config) *stats.Table {
 				best, top = it.Units, it.Name
 			}
 		}
-		t.AddRow(grid[i].d.name, grid[i].w,
-			fmt.Sprintf("%.0f", rep.PerKiloInst(r.Sim.Instructions)), top)
+		t.AddRow(designs()[i/2].name, g.specs[i].Workload,
+			fmt.Sprintf("%.0f", rep.PerKiloInst(o.Stats.Instructions)), top)
 	}
-	return t
+	return t, nil
 }
 
 // ---- H2P summary ----
@@ -796,37 +765,29 @@ func Energy(cfg Config) *stats.Table {
 // of static branches — the "hard-to-predict branch" phenomenon: a small set
 // of static H2Ps dominates MPKI, so per-PC attribution tells a composer
 // where a topology change would actually pay off.
-func H2P(cfg Config) *stats.Table {
-	cfg = cfg.Defaults()
+func H2P(cfg Config) (*stats.Table, error) {
+	g := grid{cfg: cfg.Defaults()}
 	t := &stats.Table{
 		Title: "H2P summary — misprediction concentration per design (committed CFIs)",
 		Headers: []string{"design", "workload", "pcs", "mispredicts",
 			"top-1", "top-5", "top-10", "hardest pc", "wrong provider"},
 	}
-	type point struct {
-		d design
-		w string
-	}
-	var grid []point
-	var jobs []runner.Sim
 	for _, d := range designs() {
 		for _, w := range []string{"gcc", "leela"} {
-			grid = append(grid, point{d, w})
-			j := cfg.job(d, w, uarch.DefaultConfig())
-			j.Attribution = true
-			jobs = append(jobs, j)
+			g.add(d, w, uarch.DefaultConfig()).Observe.Attribution = true
 		}
 	}
-	full, err := runner.RunFull(jobs, cfg.runnerOptions())
+	// The attribution profile is a process-local handle: local only.
+	outs, err := g.runOn(g.cfg.local())
 	if err != nil {
-		panic("experiments: " + err.Error())
+		return nil, err
 	}
-	for i, r := range full {
-		checkParanoid(jobs[i].Topology, jobs[i].Workload, r.Pipeline)
-		prof := r.Profile
-		if got, want := prof.TotalMispredicts(), r.Sim.Mispredicts; got != want {
-			panic(fmt.Sprintf("experiments: h2p attribution drift (%s on %s): profile %d != counter %d",
-				grid[i].d.name, grid[i].w, got, want))
+	for i, o := range outs {
+		name, w := designs()[i/2].name, g.specs[i].Workload
+		prof := o.Profile
+		if got, want := prof.TotalMispredicts(), o.Stats.Mispredicts; got != want {
+			return nil, fmt.Errorf("h2p attribution drift (%s on %s): profile %d != counter %d",
+				name, w, got, want)
 		}
 		hardest, wrong := "-", "-"
 		if top := prof.Top(1); len(top) > 0 && top[0].Misp > 0 {
@@ -842,7 +803,7 @@ func H2P(cfg Config) *stats.Table {
 				wrong = best
 			}
 		}
-		t.AddRow(grid[i].d.name, grid[i].w,
+		t.AddRow(name, w,
 			fmt.Sprintf("%d", prof.PCs()),
 			fmt.Sprintf("%d", prof.TotalMispredicts()),
 			fmt.Sprintf("%.1f%%", prof.ShareTop(1)*100),
@@ -850,5 +811,5 @@ func H2P(cfg Config) *stats.Table {
 			fmt.Sprintf("%.1f%%", prof.ShareTop(10)*100),
 			hardest, wrong)
 	}
-	return t
+	return t, nil
 }

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func tiny() Config { return Config{Insts: 40000, Seed: 7} }
@@ -41,7 +44,10 @@ func TestFig10Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("50 simulations")
 	}
-	rows, table := Fig10(Config{Insts: 15000, Seed: 7})
+	rows, table, err := Fig10(Config{Insts: 15000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -61,13 +67,13 @@ func TestDiscussionExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations each")
 	}
-	d1 := SerializedFetch(tiny())
-	if len(d1.Rows) != 2 {
-		t.Errorf("D1 rows = %d", len(d1.Rows))
+	d1, err := SerializedFetch(tiny())
+	if err != nil || len(d1.Rows) != 2 {
+		t.Errorf("D1: %v %v", d1, err)
 	}
-	d4 := SFB(tiny())
-	if len(d4.Rows) != 2 {
-		t.Errorf("D4 rows = %d", len(d4.Rows))
+	d4, err := SFB(tiny())
+	if err != nil || len(d4.Rows) != 2 {
+		t.Errorf("D4: %v %v", d4, err)
 	}
 }
 
@@ -75,11 +81,11 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several simulations each")
 	}
-	if len(AblationLoop(tiny()).Rows) == 0 {
-		t.Error("loop ablation empty")
+	if loop, err := AblationLoop(tiny()); err != nil || len(loop.Rows) == 0 {
+		t.Errorf("loop ablation empty: %v", err)
 	}
-	if len(AblationUBTB(tiny()).Rows) == 0 {
-		t.Error("uBTB ablation empty")
+	if ubtb, err := AblationUBTB(tiny()); err != nil || len(ubtb.Rows) == 0 {
+		t.Errorf("uBTB ablation empty: %v", err)
 	}
 	am := AblationMetadata()
 	if len(am.Rows) != 3 {
@@ -97,8 +103,28 @@ func TestTraceGapSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("captures + simulations")
 	}
-	tg := TraceGap(Config{Insts: 30000, Seed: 7})
+	tg, err := TraceGap(Config{Insts: 30000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tg.Rows) != 6 {
 		t.Errorf("trace gap rows = %d", len(tg.Rows))
+	}
+}
+
+// TestRenderFailedGridIsError: a grid whose simulations cannot finish
+// fails Render with an error naming the experiment — it never panics.
+func TestRenderFailedGridIsError(t *testing.T) {
+	for _, id := range []string{"d1", "ablation-width", "energy", "tracegap"} {
+		out, err := Render(id, Config{Insts: 200_000, Seed: 7, Timeout: time.Nanosecond})
+		if err == nil {
+			t.Fatalf("%s: want a timeout error, got output:\n%s", id, out)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.HasPrefix(err.Error(), id+": ") {
+			t.Errorf("%s: error %q does not name the experiment and the deadline", id, err)
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: error spans lines: %q", id, err)
+		}
 	}
 }

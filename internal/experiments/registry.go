@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"cobra/internal/stats"
 )
 
 // entry is one renderable paper artifact: a table, figure, or discussion
@@ -13,31 +15,47 @@ type entry struct {
 	// therefore scale with Config); static entries render from configuration
 	// alone.
 	simulated bool
-	render    func(Config) string
+	render    func(Config) (string, error)
+}
+
+// static adapts a configuration-only renderer.
+func static(f func() string) func(Config) (string, error) {
+	return func(Config) (string, error) { return f(), nil }
+}
+
+// table adapts a simulated table renderer.
+func table(f func(Config) (*stats.Table, error)) func(Config) (string, error) {
+	return func(c Config) (string, error) {
+		t, err := f(c)
+		if err != nil {
+			return "", err
+		}
+		return t.String(), nil
+	}
 }
 
 // registry lists every experiment in cobra-experiments' canonical order.
 // One table: the tool's -exp switch, the fleet executor's `experiment:`
 // services, and the documentation of valid ids all read from here.
 var registry = []entry{
-	{"table1", false, func(Config) string { return TableI().String() }},
-	{"table2", false, func(Config) string { return TableII().String() }},
-	{"table3", false, func(Config) string { return TableIII().String() }},
-	{"fig8", false, func(Config) string { return Fig8() }},
-	{"fig9", false, func(Config) string { return Fig9() }},
-	{"fig10", true, func(c Config) string { _, t := Fig10(c); return t.String() }},
-	{"d1", true, func(c Config) string { return SerializedFetch(c).String() }},
-	{"d2", true, func(c Config) string { return TageLatency(c).String() }},
-	{"d3", true, func(c Config) string { return HistoryRepair(c).String() }},
-	{"d4", true, func(c Config) string { return SFB(c).String() }},
-	{"tracegap", true, func(c Config) string { return TraceGap(c).String() }},
-	{"energy", true, func(c Config) string { return Energy(c).String() }},
-	{"h2p", true, func(c Config) string { return H2P(c).String() }},
-	{"shootout", true, func(c Config) string { return Shootout(c).String() }},
-	{"ablation-loop", true, func(c Config) string { return AblationLoop(c).String() }},
-	{"ablation-ubtb", true, func(c Config) string { return AblationUBTB(c).String() }},
-	{"ablation-meta", false, func(Config) string { return AblationMetadata().String() }},
-	{"ablation-width", true, func(c Config) string { return AblationWidth(c).String() }},
+	{"table1", false, static(func() string { return TableI().String() })},
+	{"table2", false, static(func() string { return TableII().String() })},
+	{"table3", false, static(func() string { return TableIII().String() })},
+	{"fig8", false, static(Fig8)},
+	{"fig9", false, static(Fig9)},
+	{"fig10", true, table(func(c Config) (*stats.Table, error) { _, t, err := Fig10(c); return t, err })},
+	{"d1", true, table(SerializedFetch)},
+	{"d2", true, table(TageLatency)},
+	{"d3", true, table(HistoryRepair)},
+	{"d4", true, table(SFB)},
+	{"tracegap", true, table(TraceGap)},
+	{"energy", true, table(Energy)},
+	{"h2p", true, table(H2P)},
+	{"shootout", true, table(Shootout)},
+	{"ablation-loop", true, table(AblationLoop)},
+	{"ablation-ubtb", true, table(AblationUBTB)},
+	{"ablation-meta", false, static(func() string { return AblationMetadata().String() })},
+	{"ablation-width", true, table(AblationWidth)},
 }
 
 // Ids lists every experiment id in canonical (paper) order.
@@ -74,11 +92,16 @@ func Simulated(id string) bool {
 // Render produces the named experiment's output — the exact bytes
 // cobra-experiments prints for it (without the trailing newline Println
 // adds).  Simulation-backed experiments run under cfg, including its
-// Backend when set.
+// Backend when set; a failed simulation (timeout, invariant violation,
+// backend error) fails the render with an error naming the experiment.
 func Render(id string, cfg Config) (string, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.render(cfg), nil
+			out, err := e.render(cfg)
+			if err != nil {
+				return "", fmt.Errorf("%s: %w", id, err)
+			}
+			return out, nil
 		}
 	}
 	return "", fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(Ids(), " "))

@@ -7,9 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"cobra/internal/compose"
 	"cobra/internal/pred"
-	"cobra/internal/uarch"
+	"cobra/internal/spec"
 )
 
 // bomb wraps a real component and panics after a number of predictions —
@@ -27,31 +26,42 @@ func (b *bomb) Predict(q *pred.Query) pred.Response {
 	return b.Subcomponent.Predict(q)
 }
 
-// bombOpt arms the BIM2 instance of a pipeline with a bomb.
-func bombOpt() compose.Options {
-	return compose.Options{GHistBits: 32, Wrap: func(c pred.Subcomponent) pred.Subcomponent {
-		if c.Name() == "BIM2" {
-			return &bomb{Subcomponent: c}
+// bombAt arms the BIM2 instance of job bad's pipeline with a bomb.
+func bombAt(bad int) func(int) spec.Attach {
+	return func(i int) spec.Attach {
+		if i != bad {
+			return spec.Attach{}
 		}
-		return c
-	}}
+		return spec.Attach{Wrap: func(c pred.Subcomponent) pred.Subcomponent {
+			if c.Name() == "BIM2" {
+				return &bomb{Subcomponent: c}
+			}
+			return c
+		}}
+	}
+}
+
+// gbim is a small healthy job.
+func gbim(insts uint64) *spec.RunSpec {
+	return &spec.RunSpec{Topology: "GBIM3 > BTB2 > BIM2", Pipeline: spec.Pipeline{GHistBits: 32},
+		Workload: "gcc", Seed: 1, Insts: insts}
 }
 
 func TestRunEmptyBatch(t *testing.T) {
-	res, err := Run(nil, Options{Workers: 4})
+	res, err := RunSpecs(nil, Options{Workers: 4})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: res=%v err=%v", res, err)
 	}
 }
 
 func TestWorkersExceedJobs(t *testing.T) {
-	jobs := testJobs(5_000)[:2]
-	res, err := Run(jobs, Options{Workers: 64, Seed: 1})
+	specs := testSpecs(5_000)[:2]
+	res, err := RunSpecs(specs, Options{Workers: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range res {
-		if s == nil || s.Instructions < 5_000 {
+	for i := range res {
+		if s := sim(res, i); s == nil || s.Instructions < 5_000 {
 			t.Fatalf("job %d incomplete: %+v", i, s)
 		}
 	}
@@ -60,12 +70,9 @@ func TestWorkersExceedJobs(t *testing.T) {
 // TestPanicIsolatedCollectAll: a panicking job becomes a JobError carrying
 // the panic value and stack while every other job still returns its result.
 func TestPanicIsolatedCollectAll(t *testing.T) {
-	core := uarch.DefaultConfig()
-	ok := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 10_000}
-	bad := ok
-	bad.Opt = bombOpt()
-	res, err := Run([]Sim{ok, bad, ok}, Options{Workers: 2, Seed: 1, Policy: CollectAll})
+	ok := gbim(10_000)
+	res, err := RunSpecs([]*spec.RunSpec{ok, ok, ok},
+		Options{Workers: 2, Policy: CollectAll, AttachFor: bombAt(1)})
 	var batch *BatchError
 	if !errors.As(err, &batch) {
 		t.Fatalf("want *BatchError, got %v", err)
@@ -84,11 +91,11 @@ func TestPanicIsolatedCollectAll(t *testing.T) {
 		t.Errorf("job error does not identify the job: %v", batch.Errs[0])
 	}
 	for _, i := range []int{0, 2} {
-		if res[i] == nil || res[i].Instructions < 10_000 {
-			t.Errorf("healthy job %d lost its result: %+v", i, res[i])
+		if s := sim(res, i); s == nil || s.Instructions < 10_000 {
+			t.Errorf("healthy job %d lost its result: %+v", i, s)
 		}
 	}
-	if res[1] != nil {
+	if res[1].Outcome != nil {
 		t.Error("failed job left a non-nil result")
 	}
 }
@@ -96,13 +103,9 @@ func TestPanicIsolatedCollectAll(t *testing.T) {
 // TestPanicFailFast: under the default policy the recovered panic is the
 // root-cause error, never a cancellation cascade.
 func TestPanicFailFast(t *testing.T) {
-	core := uarch.DefaultConfig()
-	ok := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 200_000}
-	bad := ok
-	bad.Opt = bombOpt()
-	bad.Insts = 10_000
-	res, err := Run([]Sim{ok, bad, ok, ok}, Options{Workers: 2, Seed: 1})
+	ok := gbim(200_000)
+	bad := gbim(10_000)
+	res, err := RunSpecs([]*spec.RunSpec{ok, bad, ok, ok}, Options{Workers: 2, AttachFor: bombAt(1)})
 	if res != nil {
 		t.Error("fail-fast batch returned partial results")
 	}
@@ -122,11 +125,9 @@ func TestPanicFailFast(t *testing.T) {
 // TestCancelMidBatch: cancelling the batch context aborts in-flight jobs
 // cooperatively and the batch reports the cancellation.
 func TestCancelMidBatch(t *testing.T) {
-	core := uarch.DefaultConfig()
-	jobs := make([]Sim, 4)
-	for i := range jobs {
-		jobs[i] = Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-			Workload: "gcc", Core: core, Insts: 500_000_000}
+	specs := make([]*spec.RunSpec, 4)
+	for i := range specs {
+		specs[i] = gbim(500_000_000)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -134,7 +135,7 @@ func TestCancelMidBatch(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	res, err := Run(jobs, Options{Workers: 2, Seed: 1, Ctx: ctx})
+	res, err := RunSpecs(specs, Options{Workers: 2, Ctx: ctx})
 	if err == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (res=%v)", err, res != nil)
 	}
@@ -146,13 +147,9 @@ func TestCancelMidBatch(t *testing.T) {
 // TestTimeoutWhileOthersComplete: a per-job timeout kills only the
 // overrunning job; the rest of the batch completes and keeps its results.
 func TestTimeoutWhileOthersComplete(t *testing.T) {
-	core := uarch.DefaultConfig()
-	small := Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-		Workload: "gcc", Core: core, Insts: 10_000}
-	huge := small
-	huge.Insts = 2_000_000_000
-	jobs := []Sim{huge, small, small, small}
-	res, err := Run(jobs, Options{Workers: 2, Seed: 1, Policy: CollectAll,
+	small := gbim(10_000)
+	specs := []*spec.RunSpec{gbim(2_000_000_000), small, small, small}
+	res, err := RunSpecs(specs, Options{Workers: 2, Policy: CollectAll,
 		Timeout: 2 * time.Second})
 	var batch *BatchError
 	if !errors.As(err, &batch) {
@@ -164,9 +161,9 @@ func TestTimeoutWhileOthersComplete(t *testing.T) {
 	if !errors.Is(batch.Errs[0], context.DeadlineExceeded) {
 		t.Fatalf("overrunning job error %v, want deadline exceeded", batch.Errs[0])
 	}
-	for i := 1; i < len(jobs); i++ {
-		if res[i] == nil || res[i].Instructions < 10_000 {
-			t.Errorf("job %d within budget lost its result: %+v", i, res[i])
+	for i := 1; i < len(specs); i++ {
+		if s := sim(res, i); s == nil || s.Instructions < 10_000 {
+			t.Errorf("job %d within budget lost its result: %+v", i, s)
 		}
 	}
 }

@@ -4,27 +4,26 @@ import (
 	"runtime"
 	"testing"
 
-	"cobra/internal/compose"
+	"cobra/internal/spec"
 	"cobra/internal/stats"
-	"cobra/internal/uarch"
-	"cobra/internal/workloads"
 )
 
-func testJobs(insts uint64) []Sim {
-	core := uarch.DefaultConfig()
-	jobs := []Sim{}
+// testSpecs is a small design × workload grid; point i runs with seed
+// Derive(42, i).
+func testSpecs(insts uint64) []*spec.RunSpec {
+	var specs []*spec.RunSpec
 	for _, topo := range []string{"GBIM3 > BTB2 > BIM2", "GTAG3 > BTB2 > BIM2"} {
 		for _, w := range []string{"dhrystone", "gcc", "sort"} {
-			jobs = append(jobs, Sim{
+			specs = append(specs, &spec.RunSpec{
 				Topology: topo,
-				Opt:      compose.Options{GHistBits: 32},
+				Pipeline: spec.Pipeline{GHistBits: 32},
 				Workload: w,
-				Core:     core,
+				Seed:     Derive(42, uint64(len(specs))),
 				Insts:    insts,
 			})
 		}
 	}
-	return jobs
+	return specs
 }
 
 // fingerprint reduces a result to the fields the experiment tables render.
@@ -36,48 +35,32 @@ func fp(s *stats.Sim) fingerprint {
 	return fingerprint{s.Cycles, s.Instructions, s.Mispredicts, s.FetchBubbles}
 }
 
+// sim returns result i's counters, nil for a failed job.
+func sim(res []SpecResult, i int) *stats.Sim {
+	if res[i].Outcome == nil {
+		return nil
+	}
+	return res[i].Outcome.Stats
+}
+
 // TestWorkerCountInvariance is the determinism contract: the same batch run
 // with 1, 3, and GOMAXPROCS workers produces identical counters per job.
 func TestWorkerCountInvariance(t *testing.T) {
-	jobs := testJobs(20_000)
-	serial, err := Run(jobs, Options{Workers: 1, Seed: 42})
+	specs := testSpecs(20_000)
+	serial, err := RunSpecs(specs, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{3, runtime.GOMAXPROCS(0), 0} {
-		par, err := Run(jobs, Options{Workers: workers, Seed: 42})
+		par, err := RunSpecs(specs, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range jobs {
-			if fp(serial[i]) != fp(par[i]) {
+		for i := range specs {
+			if fp(sim(serial, i)) != fp(sim(par, i)) {
 				t.Fatalf("workers=%d job %d diverged: serial %+v parallel %+v",
-					workers, i, fp(serial[i]), fp(par[i]))
+					workers, i, fp(sim(serial, i)), fp(sim(par, i)))
 			}
-		}
-	}
-}
-
-// TestSeedDerivationPerIndex: two jobs identical except for position must
-// see different seeds (independent dynamics), and the same position must
-// reproduce exactly.
-func TestSeedDerivationPerIndex(t *testing.T) {
-	core := uarch.DefaultConfig()
-	j := Sim{Topology: "BIM2", Workload: "gcc", Core: core, Insts: 20_000}
-	res, err := Run([]Sim{j, j}, Options{Workers: 1, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fp(res[0]) == fp(res[1]) {
-		t.Error("jobs at different indices ran with the same dynamics (seed not derived per index)")
-	}
-	again, err := Run([]Sim{j, j}, Options{Workers: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if fp(res[i]) != fp(again[i]) {
-			t.Errorf("job %d not reproducible across runs", i)
 		}
 	}
 }
@@ -116,26 +99,17 @@ func TestMapOrderAndCoverage(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	core := uarch.DefaultConfig()
-	if _, err := Run([]Sim{{Topology: "NOPE9", Workload: "gcc", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("unknown component must error")
-	}
-	if _, err := Run([]Sim{{Topology: "BIM2", Workload: "nonesuch", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("unknown workload must error")
-	}
-	if _, err := Run([]Sim{{Topology: "] bad [", Workload: "gcc", Core: core, Insts: 100}},
-		Options{Workers: 2}); err == nil {
-		t.Error("malformed topology must error")
-	}
-	prog, err := workloads.Get("sort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run([]Sim{{Topology: "BIM2", Prog: prog, Core: core, Insts: 100}},
-		Options{Workers: 1}); err == nil {
-		t.Error("shared single-use program must be rejected")
+	for _, c := range []struct {
+		topo, workload, why string
+	}{
+		{"NOPE9", "gcc", "unknown component"},
+		{"BIM2", "nonesuch", "unknown workload"},
+		{"] bad [", "gcc", "malformed topology"},
+	} {
+		s := &spec.RunSpec{Topology: c.topo, Workload: c.workload, Insts: 100}
+		if _, err := RunSpecs([]*spec.RunSpec{s}, Options{Workers: 2}); err == nil {
+			t.Errorf("%s must error", c.why)
+		}
 	}
 }
 
@@ -143,23 +117,18 @@ func TestRunErrors(t *testing.T) {
 // workload instance at high worker counts — the scenario the race detector
 // watches (run with -race in CI).
 func TestSharedCachedProgramConcurrently(t *testing.T) {
-	prog, err := workloads.Get("gcc")
+	specs := make([]*spec.RunSpec, 8)
+	for i := range specs {
+		specs[i] = &spec.RunSpec{Topology: "GBIM3 > BTB2 > BIM2", Pipeline: spec.Pipeline{GHistBits: 32},
+			Workload: "gcc", Seed: Derive(1, uint64(i)), Insts: 10_000}
+	}
+	res, err := RunSpecs(specs, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core := uarch.DefaultConfig()
-	jobs := make([]Sim, 8)
-	for i := range jobs {
-		jobs[i] = Sim{Topology: "GBIM3 > BTB2 > BIM2", Opt: compose.Options{GHistBits: 32},
-			Prog: prog, Core: core, Insts: 10_000}
-	}
-	res, err := Run(jobs, Options{Workers: 8, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(res); i++ {
-		if res[i].Instructions < 10_000 {
-			t.Errorf("job %d committed %d insts", i, res[i].Instructions)
+	for i := range res {
+		if n := sim(res, i).Instructions; n < 10_000 {
+			t.Errorf("job %d committed %d insts", i, n)
 		}
 	}
 }

@@ -454,9 +454,9 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 	meter := obs.StartResourceMeter(0)
 	res, err := runner.RunSpecs([]*spec.RunSpec{j.spec}, runner.Options{
 		Workers: 1, Policy: runner.FailFast, Timeout: s.cfg.JobTimeout, Metrics: s.met,
-		SpanFor:      func(int) *obs.ActiveSpan { return wspan },
-		ProgressFor:  func(int) *obs.RunProgress { return j.prog },
-		IntervalsFor: func(int) *interval.Recorder { return j.ivl },
+		AttachFor: func(int) spec.Attach {
+			return spec.Attach{Span: wspan, Progress: j.prog, Intervals: j.ivl}
+		},
 	})
 	resources := meter.Stop()
 	resources.QueueWaitMS = float64(queueWait.Microseconds()) / 1000

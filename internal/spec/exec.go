@@ -207,7 +207,7 @@ func Exec(s *RunSpec, at Attach) (*Outcome, error) {
 	at.Progress.SetPhase(obs.PhaseWorkload)
 	sp = at.Span.Child("exec", "workload")
 	t0 = time.Now()
-	prog, err := workloads.Get(c.Workload)
+	prog, err := workloads.GetAt(c.Workload, cfg.Fetch.InstBytes)
 	endPhase(sp, &tm.WorkloadMS, t0, err)
 	if err != nil {
 		return nil, err

@@ -5,13 +5,16 @@
 //
 // A RunSpec is the unit every entry point shares: the cobra library surface,
 // the CLI tools (internal/cli parses flags straight into one), the parallel
-// runner (runner.FromSpec / runner.RunSpecs), and the cobra-serve daemon,
-// which queues, deduplicates, and caches runs by the spec's content digest.
+// parallel runner (runner.RunSpecs), every experiment grid (through
+// backend.All), and the cobra-serve daemon, which queues, deduplicates, and
+// caches runs by the spec's content digest.
 //
 // Canonical form and digest.  Canonical(), or the in-place Canonicalize(),
 // produces the normal form: defaults made explicit, the topology re-rendered
 // from its parse tree, fault kinds/components sorted and deduplicated, and
-// the workload's content hash filled in.  Digest() is the SHA-256 of the
+// the workload's content hash filled in — at the instruction width the
+// resolved core fetches, so the fetch geometry needs no field of its own.
+// Digest() is the SHA-256 of the
 // canonical form's JSON — two specs with equal digests describe
 // bit-identical simulations, which is what makes the digest a safe
 // content-address for result caches.  The JSON schema is frozen per Version;
@@ -119,6 +122,16 @@ type RunSpec struct {
 
 // Timeout returns the per-run wall-clock budget (0 = none).
 func (s *RunSpec) Timeout() time.Duration { return time.Duration(s.TimeoutMS) * time.Millisecond }
+
+// TimeoutMillis converts a wall-clock budget into a TimeoutMS value: 0 for
+// none, otherwise whole milliseconds rounded up to at least 1, so a
+// sub-millisecond budget still times out.
+func TimeoutMillis(d time.Duration) int64 {
+	if d <= 0 {
+		return 0
+	}
+	return max(d.Milliseconds(), 1)
+}
 
 // Options converts the serializable pipeline parameters into compose
 // options.  The non-serializable hooks (Wrap, Observer) stay zero; callers
@@ -249,21 +262,6 @@ func (s *RunSpec) Canonicalize() error {
 	}
 	s.Pipeline.GHRPolicy = renderGHRPolicy(pol)
 
-	if !workloads.Known(s.Workload) {
-		// Get's error names the known set; reuse it.
-		_, err := workloads.Get(s.Workload)
-		return err
-	}
-	hash, err := workloads.Fingerprint(s.Workload)
-	if err != nil {
-		return err
-	}
-	if s.WorkloadHash != "" && s.WorkloadHash != hash {
-		return fmt.Errorf("spec: workload %q hash mismatch: spec pins %s but this build generates %s",
-			s.Workload, s.WorkloadHash, hash)
-	}
-	s.WorkloadHash = hash
-
 	if s.Seed == 0 {
 		s.Seed = DefaultSeed
 	}
@@ -276,9 +274,32 @@ func (s *RunSpec) Canonicalize() error {
 	} else if s.Host == "" {
 		s.Host = "boom"
 	}
-	if _, err := s.ResolveCore(); err != nil {
+	cfg, err := s.ResolveCore()
+	if err != nil {
 		return err
 	}
+	if !cfg.Fetch.Valid() {
+		return fmt.Errorf("spec: fetch geometry %d x %d bytes is not a power of two",
+			cfg.Fetch.FetchWidth, cfg.Fetch.InstBytes)
+	}
+
+	// The workload is pinned at the width the core fetches: an image built
+	// for another instruction size would never match the core's fetch grid.
+	if !workloads.Known(s.Workload) {
+		// Get's error names the known set; reuse it.
+		_, err := workloads.Get(s.Workload)
+		return err
+	}
+	hash, err := workloads.FingerprintAt(s.Workload, cfg.Fetch.InstBytes)
+	if err != nil {
+		return fmt.Errorf("spec: core.fetch: %w", err)
+	}
+	if s.WorkloadHash != "" && s.WorkloadHash != hash {
+		return fmt.Errorf("spec: workload %q hash mismatch: spec pins %s but this build generates %s",
+			s.Workload, s.WorkloadHash, hash)
+	}
+	s.WorkloadHash = hash
+
 	if s.TimeoutMS < 0 {
 		return fmt.Errorf("spec: negative timeout_ms %d", s.TimeoutMS)
 	}

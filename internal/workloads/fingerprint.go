@@ -8,28 +8,38 @@ import (
 	"cobra/internal/isa"
 )
 
-// Fingerprints are memoized per workload name: synthetic programs are
+// Fingerprints are memoized per (workload, width): synthetic programs are
 // themselves cached, so hashing them twice is merely wasteful, but the
 // interpreted-ISA kernels recompile on every Get and the hash walk is the
 // only reason a spec validation would pay that compile.
 var (
 	fpMu sync.Mutex
-	fps  = map[string]string{}
+	fps  = map[fpKey]string{}
 )
 
-// Fingerprint returns the content hash of the named workload's program
-// image (see program.Fingerprint).  The hash identifies the workload
-// *definition*: regenerating it after a generator or kernel change yields a
-// new value, which is what lets RunSpec digests invalidate stale cached
-// results.
-func Fingerprint(name string) (string, error) {
+type fpKey struct {
+	name      string
+	instBytes int
+}
+
+// Fingerprint returns the content hash of the named workload's default
+// 4-byte program image; see FingerprintAt.
+func Fingerprint(name string) (string, error) { return FingerprintAt(name, 4) }
+
+// FingerprintAt returns the content hash of the named workload's program
+// image at instBytes bytes per instruction (see program.Fingerprint and
+// GetAt).  The hash identifies the workload *definition*: regenerating it
+// after a generator or kernel change yields a new value, which is what lets
+// RunSpec digests invalidate stale cached results.
+func FingerprintAt(name string, instBytes int) (string, error) {
+	key := fpKey{name, instBytes}
 	fpMu.Lock()
-	if f, ok := fps[name]; ok {
+	if f, ok := fps[key]; ok {
 		fpMu.Unlock()
 		return f, nil
 	}
 	fpMu.Unlock()
-	p, err := Get(name)
+	p, err := GetAt(name, instBytes)
 	if err != nil {
 		return "", err
 	}
@@ -43,7 +53,7 @@ func Fingerprint(name string) (string, error) {
 		f = fmt.Sprintf("sha256:%x", sum)
 	}
 	fpMu.Lock()
-	fps[name] = f
+	fps[key] = f
 	fpMu.Unlock()
 	return f, nil
 }

@@ -392,6 +392,34 @@ func Get(name string) (*program.Program, error) {
 	return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, all)
 }
 
+// GeometryError reports a workload that has no program image at the
+// requested instruction width: only the SPECint proxies are generated at
+// widths other than 4 bytes.
+type GeometryError struct {
+	Workload  string
+	InstBytes int
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("workloads: %s has no %d-byte instruction image (only the SPECint proxies %v come in other widths)",
+		e.Workload, e.InstBytes, Names())
+}
+
+// GetAt is Get at a chosen instruction width: the program a core fetching
+// instBytes-byte instructions runs.  Width 4 is Get itself; a SPECint proxy
+// at any other power-of-two width is BuildWithGeometry of its profile, with
+// the same control-flow structure at scaled addresses.  Every other known
+// workload exists at 4 bytes only and returns a *GeometryError.
+func GetAt(name string, instBytes int) (*program.Program, error) {
+	if instBytes == 4 || !Known(name) {
+		return Get(name)
+	}
+	if p, ok := GetProfile(name); ok && instBytes > 0 && instBytes&(instBytes-1) == 0 {
+		return BuildWithGeometry(p, instBytes), nil
+	}
+	return nil, &GeometryError{Workload: name, InstBytes: instBytes}
+}
+
 // GetProfile returns the profile for a SPECint proxy (for sweeps).
 func GetProfile(name string) (Profile, bool) {
 	for _, p := range profiles {

@@ -64,10 +64,10 @@ func TestH2PSumInvariant(t *testing.T) {
 	}
 }
 
-// TestEventStreamFromSim checks the traced stream of a real run: events
+// TestEventStreamFromRun checks the traced stream of a real run: events
 // arrive, cycles are monotone, the five interface kinds all fire, and both
 // exporters accept the stream.
-func TestEventStreamFromSim(t *testing.T) {
+func TestEventStreamFromRun(t *testing.T) {
 	tr := NewTracer(1 << 14)
 	if _, err := Run(RunConfig{Design: B2(), Workload: "mcf", MaxInsts: obsTestInsts, Observer: tr}); err != nil {
 		t.Fatal(err)
