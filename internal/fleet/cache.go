@@ -3,23 +3,27 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
+
+	"cobra/internal/store"
 )
 
-// The result cache is a directory of sealed JSON entries keyed by service
-// digest.  Because the digest covers the service's canonical content AND its
-// dependencies' digests (see File.Digest), a hit proves the cached output
-// was produced by byte-identical inputs — skipping is substitution, not
-// guessing.  Entries are written to a temp file and renamed into place, so a
-// crash mid-write leaves garbage the loader ignores, never a torn entry
-// presented as truth (the same sealing discipline cobra-serve's disk cache
-// uses).
+// The result cache is an internal/store directory of sealed JSON entries
+// keyed by service digest.  Because the digest covers the service's
+// canonical content AND its dependencies' digests (see File.Digest), a hit
+// proves the cached output was produced by byte-identical inputs — skipping
+// is substitution, not guessing.  A torn, truncated or bit-flipped entry
+// fails its seal, is quarantined as *.corrupt, and is a miss: the executor
+// re-runs and rewrites, so corruption heals itself.
 
-// cacheEntry is one cached service result.  Entries written before interval
-// digests existed decode with a nil IntervalDigests — a hit still replays
-// the output, it just reports no interval provenance.
+// cacheSuffix versions entry filenames.  Unsealed entries from before the
+// store (<hex>.json) are never read, so they are deliberate misses rather
+// than quarantined corruption.
+const cacheSuffix = ".f1.json"
+
+// newCache opens the fleet result cache in dir ("" caches nothing).
+func newCache(dir string) *store.Store { return store.New(dir, cacheSuffix, 0, nil) }
+
+// cacheEntry is one cached service result.
 type cacheEntry struct {
 	Service         string   `json:"service"`
 	Digest          string   `json:"digest"`
@@ -27,21 +31,12 @@ type cacheEntry struct {
 	IntervalDigests []string `json:"interval_digests,omitempty"`
 }
 
-// cachePath maps a digest to its entry file.
-func cachePath(dir, digest string) string {
-	return filepath.Join(dir, strings.TrimPrefix(digest, "sha256:")+".json")
-}
-
-// cacheLoad returns the cached entry for digest, if a well-formed one
-// exists.  Any read or decode failure is a miss: the executor re-runs and
-// rewrites, so corruption heals itself.
-func cacheLoad(dir, digest string) (cacheEntry, bool) {
+// cacheLoad returns the cached entry for digest, if a sealed, well-formed
+// one exists.  The entry must name the digest it is filed under.
+func cacheLoad(c *store.Store, digest string) (cacheEntry, bool) {
 	var e cacheEntry
-	if dir == "" {
-		return e, false
-	}
-	data, err := os.ReadFile(cachePath(dir, digest))
-	if err != nil {
+	data, ok := c.Get(digest)
+	if !ok {
 		return e, false
 	}
 	if err := json.Unmarshal(data, &e); err != nil || e.Digest != digest {
@@ -50,33 +45,13 @@ func cacheLoad(dir, digest string) (cacheEntry, bool) {
 	return e, true
 }
 
-// cacheStore seals an entry: temp file, fsync-free write, atomic rename.
-func cacheStore(dir, digest string, e cacheEntry) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
+// cacheStore seals an entry into the cache.
+func cacheStore(c *store.Store, digest string, e cacheEntry) error {
 	data, err := json.Marshal(e)
 	if err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".entry-*")
-	if err != nil {
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("fleet: cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), cachePath(dir, digest)); err != nil {
-		os.Remove(tmp.Name())
+	if err := c.Put(digest, data); err != nil {
 		return fmt.Errorf("fleet: cache: %w", err)
 	}
 	return nil

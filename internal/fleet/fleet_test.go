@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"cobra/internal/backend"
 	"cobra/internal/client"
 	"cobra/internal/serve"
+	"cobra/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden files")
@@ -363,7 +366,7 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	}
 	res := runFixture(t, sub, cache, nil)
 	digest := res.Services["baseline"].Digest
-	if err := os.WriteFile(cachePath(cache, digest), []byte("{torn"), 0o644); err != nil {
+	if err := os.WriteFile(newCache(cache).Path(digest), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res2 := runFixture(t, sub, cache, nil)
@@ -372,5 +375,95 @@ func TestCacheCorruptionHeals(t *testing.T) {
 	}
 	if res2.Services["baseline"].Output != res.Services["baseline"].Output {
 		t.Error("healed output differs")
+	}
+}
+
+// TestCacheBitFlipHeals: a byte changed inside a cached output leaves the
+// entry valid JSON, so only the entry's seal can catch it.  The service must
+// re-execute, the entry must be quarantined, and the original bytes render.
+func TestCacheBitFlipHeals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cache := t.TempDir()
+	sub, err := loadFixture(t).Restrict([]string{"baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runFixture(t, sub, cache, nil)
+	want := res.Services["baseline"].Output
+	entry := newCache(cache).Path(res.Services["baseline"].Digest)
+	data, err := os.ReadFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := store.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bump the first digit of the output: the payload stays valid JSON.
+	i := bytes.Index(payload, []byte(`"output":"`))
+	if i < 0 {
+		t.Fatalf("no output field in entry %s", payload)
+	}
+	for ; i < len(payload) && (payload[i] < '0' || payload[i] > '9'); i++ {
+	}
+	if i == len(payload) {
+		t.Fatalf("no digit in cached output %s", payload)
+	}
+	payload[i] = '0' + (payload[i]-'0'+1)%10
+	if !json.Valid(payload) {
+		t.Fatalf("edited payload is not valid JSON: %s", payload)
+	}
+	if err := os.WriteFile(entry, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	res2 := runFixture(t, sub, cache, nil)
+	if res2.Executed != 1 {
+		t.Fatalf("edited entry was replayed (executed=%d)", res2.Executed)
+	}
+	if _, err := os.Stat(entry + ".corrupt"); err != nil {
+		t.Errorf("edited entry not quarantined: %v", err)
+	}
+	if got := res2.Services["baseline"].Output; got != want {
+		t.Errorf("healed output differs\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestUnsealedEntriesIgnored: an entry in the pre-store format (bare JSON
+// under <hex>.json) is never read — the service executes — and is left
+// alone rather than quarantined.
+func TestUnsealedEntriesIgnored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	cache := t.TempDir()
+	sub, err := loadFixture(t).Restrict([]string{"baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests, err := sub.Digests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := digests["baseline"]
+	old := filepath.Join(cache, strings.TrimPrefix(digest, "sha256:")+".json")
+	stale, err := json.Marshal(cacheEntry{Service: "baseline", Digest: digest, Output: "stale\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(old, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res := runFixture(t, sub, cache, nil)
+	if res.Executed != 1 || res.Services["baseline"].Output == "stale\n" {
+		t.Fatalf("unsealed entry was replayed (executed=%d)", res.Executed)
+	}
+	if got, err := os.ReadFile(old); err != nil || !bytes.Equal(got, stale) {
+		t.Errorf("unsealed entry disturbed: %q, %v", got, err)
+	}
+	if _, err := os.Stat(old + ".corrupt"); !os.IsNotExist(err) {
+		t.Errorf("unsealed entry quarantined: %v", err)
 	}
 }

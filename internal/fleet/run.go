@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -83,6 +84,12 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	if opt.CacheDir != "" {
+		if err := os.MkdirAll(opt.CacheDir, 0o755); err != nil {
+			return nil, fmt.Errorf("fleet: cache: %w", err)
+		}
+	}
+	cache := newCache(opt.CacheDir)
 	res := &Result{Name: f.Name, Stages: stages, Services: map[string]*ServiceResult{}}
 	digests := map[string]string{}
 	var mu sync.Mutex // guards res, digests, and the Log/Digests writers
@@ -139,12 +146,12 @@ func (f *File) Run(ctx context.Context, opt Options) (*Result, error) {
 				defer func() { <-sem }()
 				sr := &ServiceResult{Name: svc.Name, Digest: digest}
 				var err error
-				if e, ok := cacheLoad(opt.CacheDir, digest); ok && !opt.Force {
+				if e, ok := cacheLoad(cache, digest); ok && !opt.Force {
 					sr.Cached, sr.Output, sr.IntervalDigests = true, e.Output, e.IntervalDigests
 				} else {
 					sr.Output, sr.IntervalDigests, err = f.exec(ctx, svc, be, workers, getOutput, emitDigests)
 					if err == nil {
-						err = cacheStore(opt.CacheDir, digest, cacheEntry{
+						err = cacheStore(cache, digest, cacheEntry{
 							Service: svc.Name, Digest: digest, Output: sr.Output,
 							IntervalDigests: sr.IntervalDigests,
 						})

@@ -6,11 +6,11 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 
 	"cobra/internal/spec"
+	"cobra/internal/store"
 )
 
 // The run journal is the server's write-ahead log: every admitted digest is
@@ -159,7 +159,7 @@ func readJournal(path string, log *slog.Logger) (pending []pendingRun, skipped i
 		}
 		switch rec.Type {
 		case recAccepted:
-			if !validDigest(rec.Digest) || len(rec.Spec) == 0 {
+			if !store.ValidKey(rec.Digest) || len(rec.Spec) == 0 {
 				warn(i+1, "accepted record without digest/spec")
 				continue
 			}
@@ -221,41 +221,20 @@ func openJournal(path string, log *slog.Logger) (*journal, []pendingRun, int, er
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("journal: reading %s: %w", path, err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
+	var buf []byte
 	for _, p := range pending {
-		raw, merr := json.Marshal(p.spec)
-		if merr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", merr)
+		raw, err := json.Marshal(p.spec)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		line, eerr := encodeRecord(jrec{Type: recAccepted, Digest: p.digest, Spec: raw})
-		if eerr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", eerr)
+		line, err := encodeRecord(jrec{Type: recAccepted, Digest: p.digest, Spec: raw})
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: %w", err)
 		}
-		if _, werr := tmp.Write(line); werr != nil {
-			tmp.Close()           //nolint:errcheck
-			os.Remove(tmp.Name()) //nolint:errcheck
-			return nil, nil, 0, fmt.Errorf("journal: %w", werr)
-		}
+		buf = append(buf, line...)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()           //nolint:errcheck
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
+	if err := store.WriteAtomic(path, buf); err != nil {
+		return nil, nil, 0, fmt.Errorf("journal: compacting: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -442,6 +442,35 @@ func TestCacheTruncatedEntry(t *testing.T) {
 	waitDone(t, ts2, rs.Digest)
 }
 
+// TestCacheWriteFailureLogged: a result the disk refuses is still served
+// (from memory); the failed write is one Warn naming the entry, not a failed
+// job.
+func TestCacheWriteFailureLogged(t *testing.T) {
+	dir := t.TempDir()
+	log, buf := testLogger()
+	_, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir, Log: log})
+	// The open journal survives its directory's removal; entry writes don't.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	_, rs := postSpec(t, ts, smallSpec(82))
+	if done := waitDone(t, ts, rs.Digest); done.Status != "done" {
+		t.Fatalf("run with a failing cache write: %+v", done)
+	}
+	entry := filepath.Join(dir, strings.TrimPrefix(rs.Digest, "sha256:")+".r5.json")
+	out := buf.String()
+	if n := strings.Count(out, "cache: writing entry failed"); n != 1 {
+		t.Fatalf("%d cache-write warnings, want 1:\n%s", n, out)
+	}
+	if !strings.Contains(out, "level=WARN") || !strings.Contains(out, "path="+entry) ||
+		!strings.Contains(out, "error=") {
+		t.Errorf("cache-write warning lacks level, path or error:\n%s", out)
+	}
+	if code, _ := postSpec(t, ts, smallSpec(82)); code != 200 {
+		t.Errorf("resubmission: HTTP %d, want a 200 memory hit", code)
+	}
+}
+
 // TestJobRetriesSurfaced: a deterministically failing run burns its retry
 // budget (visible on the retry counter) before landing in the failure FIFO.
 func TestJobRetriesSurfaced(t *testing.T) {

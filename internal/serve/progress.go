@@ -10,6 +10,7 @@ import (
 
 	"cobra/internal/interval"
 	"cobra/internal/obs"
+	"cobra/internal/store"
 )
 
 // This file is the live-introspection surface of the daemon: the per-run
@@ -67,7 +68,7 @@ func (s *Server) snapshotRun(id string) (progressEvent, bool) {
 		attachWindow(&ev, j)
 		return ev, true
 	}
-	if _, ok := s.results.get(id); ok {
+	if _, ok := s.results.Get(id); ok {
 		return progressEvent{Digest: id, Status: "done",
 			ProgressSnapshot: obs.ProgressSnapshot{Phase: obs.PhaseDone.String(), Done: true}}, true
 	}
@@ -89,7 +90,7 @@ func (s *Server) snapshotRun(id string) (progressEvent, bool) {
 // fallback; poll it at whatever cadence suits.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validDigest(id) {
+	if !store.ValidKey(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
@@ -205,7 +206,7 @@ func (s *Server) statusz() statuszDoc {
 		QueueCap:      s.cfg.QueueLen,
 		Draining:      draining,
 		Runs:          make([]progressEvent, 0, len(jobs)),
-		CacheEntries:  s.results.len(),
+		CacheEntries:  s.results.Len(),
 		CacheHits:     s.met.RequestCount(true),
 		CacheMisses:   s.met.RequestCount(false),
 		Failures:      failures,

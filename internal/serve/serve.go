@@ -49,6 +49,7 @@ import (
 	"cobra/internal/runner"
 	"cobra/internal/spec"
 	"cobra/internal/stats"
+	"cobra/internal/store"
 )
 
 // resultVersion stamps every stored Result.  Bump it when the Result schema
@@ -164,7 +165,7 @@ type Server struct {
 
 	queue   chan *job
 	wg      sync.WaitGroup
-	results *cache
+	results *store.Store
 	jnl     *journal     // nil = unjournaled
 	pending []pendingRun // accepted-but-incomplete runs recovered at startup
 
@@ -231,15 +232,15 @@ func New(cfg Config) (*Server, error) {
 		traces:   newTraceStore(cfg.TraceEntries),
 		start:    time.Now(),
 		queue:    make(chan *job, cfg.QueueLen),
-		results:  newCache(cfg.CacheEntries, cfg.CacheDir, fmt.Sprintf(".r%d.json", resultVersion)),
 		jobs:     make(map[string]*job),
 		failures: make(map[string]*runFailure),
 	}
-	s.results.onCorrupt = func(path, reason string) {
-		s.met.AddCacheCorrupt(1)
-		s.log.Warn("cache: quarantined corrupt entry",
-			"path", path+".corrupt", "reason", reason)
-	}
+	s.results = store.New(cfg.CacheDir, fmt.Sprintf(".r%d.json", resultVersion), cfg.CacheEntries,
+		func(path, reason string) {
+			s.met.AddCacheCorrupt(1)
+			s.log.Warn("cache: quarantined corrupt entry",
+				"path", path+".corrupt", "reason", reason)
+		})
 	if cfg.JournalPath != "" {
 		jnl, pending, skipped, err := openJournal(cfg.JournalPath, s.log)
 		if err != nil {
@@ -278,7 +279,7 @@ func (s *Server) Start() {
 // begins (the journal keeps the accepted records for the next start).
 func (s *Server) replayPending() {
 	for _, p := range s.pending {
-		if _, hit := s.results.get(p.digest); hit {
+		if _, hit := s.results.Get(p.digest); hit {
 			s.jnl.append(jrec{Type: recDone, Digest: p.digest})
 			s.log.Info("journal: pending run already cached",
 				"run_digest", p.digest, "phase", "replay")
@@ -489,7 +490,11 @@ func (s *Server) execAttempt(j *job, rec *obs.SpanRecorder, pickup time.Time, qu
 		return tmg, &resources, merr
 	}
 	writeStart := time.Now()
-	s.results.put(j.digest, data)
+	if err := s.results.Put(j.digest, data); err != nil {
+		// The result is still served from memory; only persistence failed.
+		s.log.Warn("cache: writing entry failed",
+			"path", s.results.Path(j.digest), "error", err.Error())
+	}
 	rec.Record(j.tc, "cache", "cache.write", writeStart, time.Now(),
 		map[string]string{"bytes": fmt.Sprint(len(data))})
 	return tmg, &resources, nil
@@ -580,7 +585,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		map[string]string{"digest": digest})
 
 	lookupStart := time.Now()
-	raw, hit := s.results.get(digest)
+	raw, hit := s.results.Get(digest)
 	if hit {
 		rec.Record(tc, "cache", "cache.lookup", lookupStart, time.Now(),
 			map[string]string{"result": "hit"})
@@ -668,7 +673,7 @@ func statusOf(j *job) string {
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validDigest(id) {
+	if !store.ValidKey(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
@@ -680,7 +685,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, runStatus{Digest: id, Status: statusOf(j)})
 		return
 	}
-	if raw, ok := s.results.get(id); ok {
+	if raw, ok := s.results.Get(id); ok {
 		writeJSON(w, http.StatusOK, runStatus{Digest: id, Status: "done", Cached: true, Result: raw})
 		return
 	}
@@ -696,11 +701,11 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validDigest(id) {
+	if !store.ValidKey(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
-	raw, ok := s.results.get(id)
+	raw, ok := s.results.Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no finished run %s", id)
 		return
@@ -725,11 +730,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // content hash covers, so a client can verify the hash end to end.
 func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validDigest(id) {
+	if !store.ValidKey(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
-	raw, ok := s.results.get(id)
+	raw, ok := s.results.Get(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no finished run %s", id)
 		return
@@ -765,7 +770,7 @@ func (s *Server) handleIntervals(w http.ResponseWriter, r *http.Request) {
 // newer traffic, answers 404 even though its result may still be cached.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if !validDigest(id) {
+	if !store.ValidKey(id) {
 		writeError(w, http.StatusBadRequest, "malformed digest %q", id)
 		return
 	}
@@ -793,7 +798,7 @@ func (s *Server) health() map[string]any {
 		"queued":   len(s.queue),
 		"inflight": inflight,
 		"workers":  s.cfg.Workers,
-		"cached":   s.results.len(),
+		"cached":   s.results.Len(),
 		"traces":   s.traces.len(),
 		"draining": draining,
 		"build":    s.build,
@@ -839,7 +844,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauge("cobra_serve_queue_depth", "Jobs waiting in the bounded queue.", len(s.queue))
 	gauge("cobra_serve_inflight", "Jobs admitted and not yet finished.", inflight)
-	gauge("cobra_serve_cache_entries", "In-memory result cache entries.", s.results.len())
+	gauge("cobra_serve_cache_entries", "In-memory result cache entries.", s.results.Len())
 	gauge("cobra_serve_failures", "Entries in the bounded failure FIFO.", failures)
 	gauge("cobra_serve_draining", "1 while the server is draining, 0 otherwise.", draining)
 	gauge("cobra_serve_trace_entries", "Per-run request traces held live.", s.traces.len())

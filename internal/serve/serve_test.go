@@ -414,7 +414,7 @@ func TestFailedRunReported(t *testing.T) {
 	if done.Status != "failed" || done.Error == "" {
 		t.Fatalf("timed-out run reported as %+v", done)
 	}
-	if _, ok := s.results.get(rs.Digest); ok {
+	if _, ok := s.results.Get(rs.Digest); ok {
 		t.Error("failed run was cached")
 	}
 	code, _ = postSpec(t, ts, slowSpec(40))
