@@ -19,6 +19,7 @@ import (
 type BTB struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	sets    int
@@ -80,6 +81,7 @@ func NewBTB(cfg pred.Config, p BTBParams) *BTB {
 	}
 	b := &BTB{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		sets:    sets,
@@ -201,7 +203,7 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 		p := pred.Pred{
 			TgtValid:    true,
 			Target:      target,
-			TgtProvider: b.name,
+			TgtProvider: b.prov,
 			IsCFI:       true,
 			Kind:        btbKindToPred(kind),
 		}
@@ -210,7 +212,7 @@ func (b *BTB) Predict(q *pred.Query) pred.Response {
 		if kind != btbKindBranch {
 			p.DirValid = true
 			p.Taken = true
-			p.DirProvider = b.name
+			p.DirProvider = b.prov
 		}
 		overlay[i] = p
 	}

@@ -35,7 +35,7 @@ func conformance(t *testing.T, name string) {
 		in := make([]pred.Packet, c.NumInputs())
 		for i := range in {
 			in[i] = make(pred.Packet, e.Cfg.FetchWidth)
-			in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: "up"}
+			in[i][0] = pred.Pred{DirValid: true, Taken: true, DirProvider: pred.MustProvider("up")}
 		}
 		return &pred.Query{PC: pc, GHist: ghist, GRaw: []uint64{ghist, 0}, In: in}
 	}
@@ -66,8 +66,8 @@ func conformance(t *testing.T, name string) {
 		t.Errorf("overlay has %d slots, want %d", len(r1.Overlay), e.Cfg.FetchWidth)
 	}
 	for i, p := range r1.Overlay {
-		if p.DirValid && p.DirProvider != c.Name() && p.DirProvider != "up" {
-			t.Errorf("slot %d: direction provider %q is neither the component nor pass-through", i, p.DirProvider)
+		if p.DirValid && p.DirProvider.String() != c.Name() && p.DirProvider.String() != "up" {
+			t.Errorf("slot %d: direction provider %q is neither the component nor pass-through", i, p.DirProvider.String())
 		}
 	}
 

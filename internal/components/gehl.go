@@ -20,6 +20,7 @@ import (
 type GEHL struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 
@@ -64,7 +65,7 @@ func NewGEHL(cfg pred.Config, g *history.Global, p GEHLParams) *GEHL {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &GEHL{name: p.Name, latency: p.Latency, cfg: cfg,
+	t := &GEHL{name: p.Name, prov: pred.MustProvider(p.Name), latency: p.Latency, cfg: cfg,
 		theta: int32(2*len(p.TableEntries) + 1)}
 	for i := range p.TableEntries {
 		if !bitutil.IsPow2(p.TableEntries[i]) {
@@ -144,7 +145,7 @@ func (t *GEHL) Predict(q *pred.Query) pred.Response {
 	}
 	overlay := make(pred.Packet, t.cfg.FetchWidth)
 	for i := range overlay {
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: t.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: t.prov}
 	}
 	return pred.Response{Overlay: overlay, Meta: meta}
 }

@@ -21,6 +21,7 @@ import (
 type GSkew struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -55,6 +56,7 @@ func NewGSkew(cfg pred.Config, p GSkewParams) *GSkew {
 	}
 	g := &GSkew{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Rows),
@@ -118,7 +120,7 @@ func (g *GSkew) Predict(q *pred.Query) pred.Response {
 				votes++
 			}
 		}
-		overlay[i] = pred.Pred{DirValid: true, Taken: votes >= 2, DirProvider: g.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: votes >= 2, DirProvider: g.prov}
 	}
 	return pred.Response{Overlay: overlay, Meta: g.metaBuf[:]}
 }

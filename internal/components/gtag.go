@@ -20,6 +20,7 @@ import (
 type GTAG struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -64,6 +65,7 @@ func NewGTAG(cfg pred.Config, g *history.Global, p GTAGParams) *GTAG {
 	ctrBits := uint(2)
 	return &GTAG{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: idxBits,
@@ -132,7 +134,7 @@ func (g *GTAG) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       bitutil.CtrTaken(g.rowCtr(row, i), g.ctrBits),
-				DirProvider: g.name,
+				DirProvider: g.prov,
 			}
 		}
 	}

@@ -58,6 +58,7 @@ func (s IndexSource) String() string {
 type HBIM struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	source  IndexSource
@@ -97,6 +98,7 @@ func NewHBIM(cfg pred.Config, p HBIMParams) *HBIM {
 	}
 	return &HBIM{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		source:  p.Source,
@@ -174,7 +176,7 @@ func (h *HBIM) Predict(q *pred.Query) pred.Response {
 		overlay[i] = pred.Pred{
 			DirValid:    true,
 			Taken:       bitutil.CtrTaken(h.ctrAt(row, i), h.ctrBits),
-			DirProvider: h.name,
+			DirProvider: h.prov,
 		}
 	}
 	h.metaBuf[0] = row

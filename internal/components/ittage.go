@@ -23,6 +23,7 @@ import (
 type ITTAGE struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	tables  []*itTable
@@ -69,7 +70,7 @@ func NewITTAGE(cfg pred.Config, g *history.Global, p ITTAGEParams) *ITTAGE {
 	if p.Latency < 1 {
 		p.Latency = 3
 	}
-	t := &ITTAGE{name: p.Name, latency: p.Latency, cfg: cfg}
+	t := &ITTAGE{name: p.Name, prov: pred.MustProvider(p.Name), latency: p.Latency, cfg: cfg}
 	slotBits := bitutil.Clog2(cfg.FetchWidth)
 	if slotBits == 0 {
 		slotBits = 1
@@ -177,7 +178,7 @@ func (t *ITTAGE) Predict(q *pred.Query) pred.Response {
 		overlay[pSlot] = pred.Pred{
 			TgtValid:    true,
 			Target:      pTarget,
-			TgtProvider: t.name,
+			TgtProvider: t.prov,
 			IsCFI:       true,
 			Kind:        pred.KindIndirect,
 		}

@@ -26,6 +26,7 @@ import (
 // restore those entries during the repair phase" (§III-G.5).
 type Loop struct {
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -73,6 +74,7 @@ func NewLoop(cfg pred.Config, p LoopParams) *Loop {
 	}
 	return &Loop{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -165,7 +167,7 @@ func (l *Loop) Predict(q *pred.Query) pred.Response {
 			overlay[slot] = pred.Pred{
 				DirValid:    true,
 				Taken:       taken,
-				DirProvider: l.name,
+				DirProvider: l.prov,
 			}
 		}
 	}

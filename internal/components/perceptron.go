@@ -19,6 +19,7 @@ import (
 type Perceptron struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -55,6 +56,7 @@ func NewPerceptron(cfg pred.Config, p PerceptronParams) *Perceptron {
 	}
 	return &Perceptron{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -102,7 +104,7 @@ func (p *Perceptron) Predict(q *pred.Query) pred.Response {
 	taken := sum >= 0
 	overlay := p.scratch
 	for i := range overlay {
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: p.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: p.prov}
 	}
 	mag := sum
 	if mag < 0 {

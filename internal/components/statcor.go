@@ -16,6 +16,7 @@ import (
 type StatCorrector struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -48,6 +49,7 @@ func NewStatCorrector(cfg pred.Config, p StatCorrectorParams) *StatCorrector {
 	}
 	return &StatCorrector{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.Entries),
@@ -128,7 +130,7 @@ func (c *StatCorrector) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       !p.Taken,
-				DirProvider: c.name,
+				DirProvider: c.prov,
 			}
 		}
 	}

@@ -26,6 +26,7 @@ import (
 type TAGE struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 
@@ -92,6 +93,7 @@ func NewTAGE(cfg pred.Config, g *history.Global, p TAGEParams) *TAGE {
 	}
 	t := &TAGE{
 		name:      p.Name,
+		prov:      pred.MustProvider(p.Name),
 		latency:   p.Latency,
 		cfg:       cfg,
 		lfsr:      0xACE1,
@@ -224,7 +226,7 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 					overlay[i] = pred.Pred{
 						DirValid:    true,
 						Taken:       bitutil.CtrTaken(atb.rowCtr(altRow, i), tageCtrBits),
-						DirProvider: t.name,
+						DirProvider: t.prov,
 					}
 				}
 				// else: pass through to predict_in (the base predictor).
@@ -233,7 +235,7 @@ func (t *TAGE) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       bitutil.CtrTaken(c, tageCtrBits),
-				DirProvider: t.name,
+				DirProvider: t.prov,
 			}
 		}
 		flags = 1

@@ -20,6 +20,7 @@ import (
 type Tourney struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -52,6 +53,7 @@ func NewTourney(cfg pred.Config, p TourneyParams) *Tourney {
 	}
 	return &Tourney{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: idxBits,
@@ -138,7 +140,7 @@ func (t *Tourney) Predict(q *pred.Query) pred.Response {
 			overlay[i] = pred.Pred{
 				DirValid:    true,
 				Taken:       chosen.Taken,
-				DirProvider: t.name,
+				DirProvider: t.prov,
 				IsCFI:       chosen.IsCFI,
 				Kind:        chosen.Kind,
 			}

@@ -18,6 +18,7 @@ import (
 // component can override it.
 type UBTB struct {
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	tagBits uint
@@ -56,6 +57,7 @@ func NewUBTB(cfg pred.Config, p UBTBParams) *UBTB {
 	}
 	return &UBTB{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: 1,
 		cfg:     cfg,
 		tagBits: p.TagBits,
@@ -114,8 +116,8 @@ func (u *UBTB) Predict(q *pred.Query) pred.Response {
 				Target:      e.target,
 				IsCFI:       true,
 				Kind:        btbKindToPred(int(e.kind)),
-				DirProvider: u.name,
-				TgtProvider: u.name,
+				DirProvider: u.prov,
+				TgtProvider: u.prov,
 			}
 		}
 	}

@@ -18,6 +18,7 @@ import (
 type YAGS struct {
 	pred.NopEvents
 	name    string
+	prov    pred.Provider // interned name, stamped on this component's opinions
 	latency int
 	cfg     pred.Config
 	idxBits uint
@@ -74,6 +75,7 @@ func NewYAGS(cfg pred.Config, p YAGSParams) *YAGS {
 	}
 	return &YAGS{
 		name:    p.Name,
+		prov:    pred.MustProvider(p.Name),
 		latency: p.Latency,
 		cfg:     cfg,
 		idxBits: bitutil.Clog2(p.ChoiceRows),
@@ -162,7 +164,7 @@ func (y *YAGS) Predict(q *pred.Query) pred.Response {
 				taken = bitutil.CtrTaken(ctr, 2)
 			}
 		}
-		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: y.name}
+		overlay[i] = pred.Pred{DirValid: true, Taken: taken, DirProvider: y.prov}
 	}
 	y.metaBuf[0] = cRow | uint64(cIdx)<<32
 	y.metaBuf[1] = tRow | uint64(tIdx)<<32

@@ -2,8 +2,10 @@ package compose
 
 import (
 	"fmt"
+	"strings"
 
 	"cobra/internal/bitutil"
+	"cobra/internal/obs"
 )
 
 // InvariantError is a structured paranoid-mode violation report naming the
@@ -11,9 +13,11 @@ import (
 // and the history-file entry involved.
 type InvariantError struct {
 	// Op is the pipeline operation after which the check fired: "Predict",
-	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll"; or, for a
-	// check the host core runs on its own structures (ReportViolation), the
-	// core stage that ran it, such as "uarch.issue".
+	// "Accept", "ReAccept", "Resolve", "Commit", or "SquashAll"; for the
+	// event-contract check, the signal just delivered: "Fire", "Repair",
+	// "Mispredict", or "Update"; or, for a check the host core runs on its
+	// own structures (ReportViolation), the core stage that ran it, such as
+	// "uarch.issue".
 	Op string
 	// Component is the sub-component instance the violation is attributed
 	// to, or "" for a pipeline-level (history file / history provider)
@@ -105,6 +109,47 @@ func applyShifts(hist []uint64, length uint, shifts []bool) []uint64 {
 		}
 	}
 	return out
+}
+
+// sameSlice reports whether a and b are the same slice header: equal length
+// and capacity over the same backing array.
+func sameSlice[T any](a, b []T) bool {
+	if len(a) != len(b) || cap(a) != cap(b) {
+		return false
+	}
+	return cap(a) == 0 || &a[:cap(a)][0] == &b[:cap(b)][0]
+}
+
+// checkEvent is the paranoid-mode event-contract check, run after each
+// component event call: the component must leave the shared payload's
+// header fields as it received them (p.evSaved), since the pipeline fills
+// them once per signal and hands the same payload to every node.  Only the
+// contents of its own Meta blob may change.  Observation-only, like
+// checkInvariants.
+func (p *Pipeline) checkEvent(kind obs.Kind, comp string, seq uint64) {
+	ev, was := &p.ev, &p.evSaved
+	changed := ""
+	note := func(field string, same bool) {
+		if !same {
+			if changed != "" {
+				changed += ", "
+			}
+			changed += field
+		}
+	}
+	note("Cycle", ev.Cycle == was.Cycle)
+	note("PC", ev.PC == was.PC)
+	note("GHist", ev.GHist == was.GHist)
+	note("GRaw", sameSlice(ev.GRaw, was.GRaw))
+	note("LHist", ev.LHist == was.LHist)
+	note("Path", ev.Path == was.Path)
+	note("Meta", sameSlice(ev.Meta, was.Meta))
+	note("Slots", sameSlice(ev.Slots, was.Slots))
+	if changed != "" {
+		sig := kind.String() // "fire" reports as Op "Fire"
+		p.reportViolation(strings.ToUpper(sig[:1])+sig[1:], comp, was.Cycle, seq,
+			"component changed the shared event payload's %s (only its Meta contents may change)", changed)
+	}
 }
 
 func wordsEqual(a, b []uint64) bool {

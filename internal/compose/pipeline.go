@@ -151,11 +151,17 @@ type Pipeline struct {
 	obsv     obs.Observer
 	trackOps bool
 
-	// scratch buffers reused across Predict calls.
-	outs    [][]pred.Packet // per node, per stage: combined output packets
-	ovl     []pred.Packet   // per node: the raw overlay it returned this query
-	zeroPkt pred.Packet     // read-only all-empty packet
-	metaOff []int           // per node: offset into the per-entry meta arena
+	// Staged overlay (see stagePlan): views[ni*depth+d-1] is node ni's
+	// stage-d output — one of its own buffers, an alias of its primary
+	// input's view or of its own previous stage, or zeroPkt.  The table is
+	// fixed at construction; Predict only refills the owned buffers, in the
+	// order steps lists them.
+	plan    []stageOp     // per node×stage: how the view is formed
+	views   []pred.Packet // per node×stage: the node's output packet
+	steps   []overlayStep // the respond/refine overlays, stage-major
+	ovl     []pred.Packet // per node: the raw overlay it returned this query
+	zeroPkt pred.Packet   // read-only all-empty packet
+	metaOff []int         // per node: offset into the per-entry meta arena
 	metaTot int
 
 	// q and ev are the reusable signal payloads handed to sub-components
@@ -165,6 +171,48 @@ type Pipeline struct {
 	// which the conformance suite's alloc pins police indirectly.
 	q  pred.Query
 	ev pred.Event
+	// evSaved is p.ev as handed to the current component call (paranoid
+	// mode), the reference for the event-contract check.
+	evSaved pred.Event
+
+	// Idle-tick skip (see Tick): touched is set by every operation that
+	// reaches a component or the local history; tickAt is the cycle of the
+	// latest Tick call and portsAt the latest one passed on to the memories.
+	touched bool
+	tickAt  uint64
+	portsAt uint64
+}
+
+// stageOp says how one node's output at one stage is formed.  The plan is
+// static: a node's output can change only at its own response stage and at
+// the stages where its primary input changes (its overlay is pinned from
+// the response stage on, §III-A), so every other stage is an alias.
+type stageOp uint8
+
+const (
+	// opPass: below the node's latency its output is its primary input
+	// (or the empty packet for a leaf).
+	opPass stageOp = iota
+	// opRespond: at its latency the node is queried and its overlay is
+	// applied over the primary input into the node's own buffer.
+	opRespond
+	// opRefine: past its latency the primary input changed, so the pinned
+	// overlay is re-applied over it into another of the node's buffers.
+	opRefine
+	// opHold: past its latency with an unchanged primary input, the output
+	// is the previous stage's.
+	opHold
+)
+
+// overlayStep is one overlay Predict performs: node ni's opRespond or
+// opRefine at one stage, writing dst from the stage's primary view and, for
+// a response, querying the component with every input's view.
+type overlayStep struct {
+	ni      int
+	respond bool
+	dst     pred.Packet
+	prim    pred.Packet
+	in      []pred.Packet // respond only
 }
 
 // Resolution is the outcome of resolving one branch slot.
@@ -238,15 +286,9 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 		p.Local = history.NewLocal(opt.LocalEntries, opt.LocalHistBits, cfg.PktOff())
 	}
 	p.hf = newHistoryFile(opt.HFEntries, cfg.FetchWidth)
-	p.outs = make([][]pred.Packet, len(p.nodes))
-	for i := range p.outs {
-		p.outs[i] = make([]pred.Packet, p.depth)
-		for d := range p.outs[i] {
-			p.outs[i][d] = make(pred.Packet, cfg.FetchWidth)
-		}
-	}
 	p.ovl = make([]pred.Packet, len(p.nodes))
 	p.zeroPkt = make(pred.Packet, cfg.FetchWidth)
+	p.stagePlan()
 	p.metaOff = make([]int, len(p.nodes))
 	for i, n := range p.nodes {
 		p.metaOff[i] = p.metaTot
@@ -255,6 +297,49 @@ func New(cfg pred.Config, topo *Topology, opt Options) (*Pipeline, error) {
 	p.paranoid = opt.Paranoid
 	p.obsv = opt.Observer
 	return p, nil
+}
+
+// stagePlan computes the static per-node, per-stage plan, the view table
+// it implies (allocating a buffer for each stage where a node writes one),
+// and the overlay steps Predict runs.  It walks stage-major, inputs first:
+// the order components are queried in.
+func (p *Pipeline) stagePlan() {
+	dp, nn := p.depth, len(p.nodes)
+	// changes[k]: the node's stage-d output may differ from its stage d-1
+	// output (meaningful for d >= 2).
+	changes := make([]bool, nn*dp)
+	p.plan = make([]stageOp, nn*dp)
+	p.views = make([]pred.Packet, nn*dp)
+	for d := 1; d <= dp; d++ {
+		for ni, n := range p.nodes {
+			k := ni*dp + d - 1
+			prim, primChanges := p.zeroPkt, false
+			if n.primary >= 0 {
+				pk := n.primary*dp + d - 1
+				prim, primChanges = p.views[pk], changes[pk]
+			}
+			changes[k] = d == n.lat || primChanges
+			switch {
+			case d < n.lat:
+				p.plan[k], p.views[k] = opPass, prim
+			case d > n.lat && !primChanges:
+				p.plan[k], p.views[k] = opHold, p.views[k-1]
+			default:
+				st := overlayStep{ni: ni, respond: d == n.lat,
+					dst: make(pred.Packet, p.Cfg.FetchWidth), prim: prim}
+				p.plan[k] = opRefine
+				if st.respond {
+					p.plan[k] = opRespond
+					for _, ii := range n.inputs {
+						st.in = append(st.in, p.views[ii*dp+d-1])
+					}
+					st.in = st.in[:len(st.in):len(st.in)] // an append by a component reallocates
+				}
+				p.views[k] = st.dst
+				p.steps = append(p.steps, st)
+			}
+		}
+	}
 }
 
 // Observer returns the attached event observer (nil when tracing is off);
@@ -305,7 +390,33 @@ func (p *Pipeline) Components() []pred.Subcomponent {
 }
 
 // Tick advances all component SRAM port accounting to cycle.
+//
+// A memory's Tick only zeroes its per-cycle port counters when the cycle
+// changes, so Tick is skipped whenever it cannot change them: on a repeated
+// cycle, and when no operation has reached a component or the local history
+// since the previous Tick (the counters are already zero).  The memories
+// then lag behind on the cycle they last saw; the one case where that
+// matters — ports used again at exactly that stale cycle after a skip — is
+// caught up below, so port accounting is the same as ticking every call.
 func (p *Pipeline) Tick(cycle uint64) {
+	if cycle == p.tickAt {
+		return
+	}
+	p.tickAt = cycle
+	if !p.touched {
+		return
+	}
+	p.touched = false
+	if cycle == p.portsAt {
+		// The memories still hold cycle from before a skipped tick and
+		// would keep this cycle's port use; move them off it first.
+		p.tickPorts(cycle + 1)
+	}
+	p.tickPorts(cycle)
+}
+
+func (p *Pipeline) tickPorts(cycle uint64) {
+	p.portsAt = cycle
 	for _, n := range p.nodes {
 		n.comp.Tick(cycle)
 	}
@@ -363,58 +474,53 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 		e.metaBuf = make([]uint64, p.metaTot)
 	}
 
+	p.touched = true
 	graw := e.preSnap.Hist()
-	for d := 1; d <= p.depth; d++ {
-		for ni, n := range p.nodes {
-			prim := p.zeroPkt
-			if n.primary >= 0 {
-				prim = p.outs[n.primary][d-1]
-			}
-			switch {
-			case d < n.lat:
-				copy(p.outs[ni][d-1], prim)
-			case d == n.lat:
-				q := &p.q
-				q.Cycle, q.PC = cycle, e.PC
-				q.GHist, q.GRaw, q.LHist, q.Path = 0, nil, 0, 0
-				if n.lat >= 2 {
-					// Histories arrive at the end of Fetch-1 (§III-B):
-					// latency-1 components never see them.
-					q.GHist = e.ghistLow
-					q.GRaw = graw
-					q.LHist = e.lhist
-					q.Path = e.path
-				}
-				q.In = q.In[:0]
-				for _, ii := range n.inputs {
-					q.In = append(q.In, p.outs[ii][d-1])
-				}
-				resp := n.comp.Predict(q)
-				// Persist the metadata in the entry's arena (components may
-				// reuse their returned buffers on the next predict).
-				dst := e.metaBuf[p.metaOff[ni] : p.metaOff[ni]+len(resp.Meta)]
-				copy(dst, resp.Meta)
-				e.metas[ni] = dst
-				p.ovl[ni] = resp.Overlay
-				overlayInto(p.outs[ni][d-1], resp.Overlay, prim)
-				if p.obsv != nil {
-					p.emit(obs.KPredict, cycle, e, n.name, -1, n.lat, obs.MetaSum(dst))
-				}
-			default:
-				// d > lat: the component's own overlay stays pinned over the
-				// refined input (monotone refinement, §III-A).
-				overlayInto(p.outs[ni][d-1], p.ovl[ni], prim)
-			}
+	for i := range p.steps {
+		st := &p.steps[i]
+		if !st.respond {
+			// The component's own overlay stays pinned over the refined
+			// input (monotone refinement, §III-A).
+			overlayInto(st.dst, p.ovl[st.ni], st.prim)
+			continue
+		}
+		n := p.nodes[st.ni]
+		q := &p.q
+		q.Cycle, q.PC = cycle, e.PC
+		q.GHist, q.GRaw, q.LHist, q.Path = 0, nil, 0, 0
+		if n.lat >= 2 {
+			// Histories arrive at the end of Fetch-1 (§III-B):
+			// latency-1 components never see them.
+			q.GHist = e.ghistLow
+			q.GRaw = graw
+			q.LHist = e.lhist
+			q.Path = e.path
+		}
+		// The input packets are views into the static view table and may
+		// alias other nodes' outputs: components read q.In and its packets
+		// and never write them.
+		q.In = st.in
+		resp := n.comp.Predict(q)
+		// Persist the metadata in the entry's arena (components may reuse
+		// their returned buffers on the next predict).
+		dst := e.metaBuf[p.metaOff[st.ni] : p.metaOff[st.ni]+len(resp.Meta)]
+		copy(dst, resp.Meta)
+		e.metas[st.ni] = dst
+		p.ovl[st.ni] = resp.Overlay
+		overlayInto(st.dst, resp.Overlay, st.prim)
+		if p.obsv != nil {
+			p.emit(obs.KPredict, cycle, e, n.name, -1, n.lat, obs.MetaSum(dst))
 		}
 	}
-	if len(e.stages) != p.depth {
-		e.stages = make([]pred.Packet, p.depth)
+	dp := p.depth
+	if len(e.stages) != dp {
+		e.stages = make([]pred.Packet, dp)
 		for d := range e.stages {
 			e.stages[d] = make(pred.Packet, p.Cfg.FetchWidth)
 		}
 	}
-	for d := 1; d <= p.depth; d++ {
-		copy(e.stages[d-1], p.outs[p.rootIdx][d-1])
+	for d, v := range p.views[p.rootIdx*dp : (p.rootIdx+1)*dp] {
+		copy(e.stages[d], v)
 	}
 	if p.trackOps {
 		// Snapshot every node's raw overlay opinion per slot (the ovl
@@ -450,21 +556,42 @@ func (p *Pipeline) Predict(cycle uint64, pc uint64) (*Entry, []pred.Packet) {
 	return e, e.stages
 }
 
-// event fills the pipeline's reusable §III-E event payload for entry e and
-// node ni and returns it.  The payload is valid only for the duration of
-// the one component call it is handed to.
-func (p *Pipeline) event(cycle uint64, e *Entry, ni int) *pred.Event {
-	p.ev = pred.Event{
-		Cycle: cycle,
-		PC:    e.PC,
-		GHist: e.ghistLow,
-		GRaw:  e.preSnap.Hist(),
-		LHist: e.lhist,
-		Path:  e.path,
-		Meta:  e.metas[ni],
-		Slots: e.Slots,
+// send delivers one of the four non-predict signals (kind is KFire,
+// KRepair, KMispredict or KUpdate) for entry e to every node, inputs first.
+// The §III-E payload is filled in place once: every field but Meta is
+// shared by all nodes, and each node's call swaps in its own Meta.  It is
+// valid only for the duration of the call it is handed to, and components
+// must leave it as they found it (paranoid mode checks this, see
+// checkEvent).  slot is the slot the observer records.
+func (p *Pipeline) send(kind obs.Kind, cycle uint64, e *Entry, slot int) {
+	p.touched = true
+	ev := &p.ev
+	ev.Cycle, ev.PC = cycle, e.PC
+	ev.GHist, ev.GRaw = e.ghistLow, e.preSnap.Hist()
+	ev.LHist, ev.Path = e.lhist, e.path
+	ev.Slots = e.Slots
+	for ni, n := range p.nodes {
+		ev.Meta = e.metas[ni]
+		if p.paranoid {
+			p.evSaved = *ev
+		}
+		switch kind {
+		case obs.KFire:
+			n.comp.Fire(ev)
+		case obs.KRepair:
+			n.comp.Repair(ev)
+		case obs.KMispredict:
+			n.comp.Mispredict(ev)
+		case obs.KUpdate:
+			n.comp.Update(ev)
+		}
+		if p.paranoid {
+			p.checkEvent(kind, n.name, e.seq)
+		}
+		if p.obsv != nil {
+			p.emit(kind, cycle, e, n.name, slot, 0, obs.MetaSum(e.metas[ni]))
+		}
 	}
-	return &p.ev
 }
 
 // Accept installs the frontend's accepted view of the packet (initially the
@@ -510,12 +637,7 @@ func (p *Pipeline) fire(cycle uint64, e *Entry, shiftGlobal bool) {
 	if shiftGlobal && e.CfiIdx >= 0 && e.Slots[e.CfiIdx].Valid && e.Slots[e.CfiIdx].Taken {
 		p.PathH.Shift(e.NextPC, p.Cfg.InstOff())
 	}
-	for ni, n := range p.nodes {
-		n.comp.Fire(p.event(cycle, e, ni))
-		if p.obsv != nil {
-			p.emit(obs.KFire, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
-		}
-	}
+	p.send(obs.KFire, cycle, e, e.CfiIdx)
 	e.fired = true
 }
 
@@ -527,12 +649,7 @@ func (p *Pipeline) unfire(cycle uint64, e *Entry) {
 	if !e.fired {
 		return
 	}
-	for ni, n := range p.nodes {
-		n.comp.Repair(p.event(cycle, e, ni))
-		if p.obsv != nil {
-			p.emit(obs.KRepair, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
-		}
-	}
+	p.send(obs.KRepair, cycle, e, e.CfiIdx)
 	for i := len(e.lhistSaves) - 1; i >= 0; i-- {
 		sv := e.lhistSaves[i]
 		p.Local.Restore(sv.pc, sv.old)
@@ -648,12 +765,7 @@ func (p *Pipeline) Resolve(cycle uint64, e *Entry, slot int, taken bool, target 
 		e.NextPC = s.PC + uint64(p.Cfg.InstBytes)
 	}
 	p.fire(cycle, e, true)
-	for ni, n := range p.nodes {
-		n.comp.Mispredict(p.event(cycle, e, ni))
-		if p.obsv != nil {
-			p.emit(obs.KMispredict, cycle, e, n.name, slot, 0, obs.MetaSum(e.metas[ni]))
-		}
-	}
+	p.send(obs.KMispredict, cycle, e, slot)
 	p.checkInvariants("Resolve", cycle)
 	return Resolution{
 		Mispredict: true,
@@ -673,12 +785,7 @@ func (p *Pipeline) Commit(cycle uint64, e *Entry) {
 	if p.hf.oldest() != e {
 		panic("compose: Commit on non-oldest history file entry")
 	}
-	for ni, n := range p.nodes {
-		n.comp.Update(p.event(cycle, e, ni))
-		if p.obsv != nil {
-			p.emit(obs.KUpdate, cycle, e, n.name, e.CfiIdx, 0, obs.MetaSum(e.metas[ni]))
-		}
-	}
+	p.send(obs.KUpdate, cycle, e, e.CfiIdx)
 	p.hf.dequeue()
 	p.C.Commits++
 	p.checkInvariants("Commit", cycle)

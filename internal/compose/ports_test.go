@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"math/rand"
 	"testing"
 
 	"cobra/internal/sram"
@@ -92,5 +93,69 @@ func TestPortPressureReported(t *testing.T) {
 	p.Accept(1, e2, s2[0], brSlots(p, 0x2000, nil), -1, 0x2010)
 	if mem.MaxReadsPerCycle < 2 {
 		t.Errorf("MaxReadsPerCycle = %d, want >= 2", mem.MaxReadsPerCycle)
+	}
+}
+
+// TestTickSkipKeepsPortAccounting drives two identical pipelines through
+// the same operations and cycle sequence — fresh, repeated, skipped-over
+// and earlier cycles, with idle stretches — ticking one through
+// Pipeline.Tick (which skips idle and repeated cycles) and the other by
+// ticking every component directly.  After every step each memory's port
+// use in the current cycle (its worst case since the previous step) must
+// agree.
+func TestTickSkipKeepsPortAccounting(t *testing.T) {
+	const topo = "TOURNEY3 > [GBIM2 > BTB2, LBIM2]"
+	a := mustPipeline(t, topo, Options{GHistBits: 32})
+	b := mustPipeline(t, topo, Options{GHistBits: 32})
+	var ma, mb []*sram.Mem
+	for i, c := range a.Components() {
+		if mp, ok := c.(interface{ Mems() []*sram.Mem }); ok {
+			ma = append(ma, mp.Mems()...)
+			mb = append(mb, b.Components()[i].(interface{ Mems() []*sram.Mem }).Mems()...)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	cycle := uint64(0)
+	for i := 0; i < 4000; i++ {
+		switch rng.Intn(5) {
+		case 0, 1:
+			cycle++
+		case 2: // repeated cycle
+		case 3:
+			cycle += 3
+		case 4:
+			if cycle > 0 {
+				cycle--
+			}
+		}
+		a.Tick(cycle)
+		for _, c := range b.Components() {
+			c.Tick(cycle)
+		}
+		b.Local.Tick(cycle)
+		if rng.Intn(3) != 0 { // else an idle cycle
+			pc := uint64(0x1000 + rng.Intn(64)*16)
+			taken, commit := rng.Intn(2) == 0, rng.Intn(2) == 0
+			for _, p := range []*Pipeline{a, b} {
+				if p.Full() {
+					p.Commit(cycle, p.Oldest())
+				}
+				e, stages := p.Predict(cycle, pc)
+				p.Accept(cycle, e, stages[p.Depth()-1], brSlots(p, pc, map[int]bool{0: taken}), -1,
+					p.Cfg.PacketBase(pc)+uint64(p.Cfg.PktBytes()))
+				if commit {
+					p.Commit(cycle, p.Oldest())
+				}
+			}
+		}
+		for j, m := range ma {
+			o := mb[j]
+			if m.MaxReadsPerCycle != o.MaxReadsPerCycle || m.MaxWritesPerCycle != o.MaxWritesPerCycle {
+				t.Fatalf("step %d cycle %d: %s used %d reads / %d writes with skipped ticks, %d / %d ticking every cycle",
+					i, cycle, m.Spec().Name, m.MaxReadsPerCycle, m.MaxWritesPerCycle, o.MaxReadsPerCycle, o.MaxWritesPerCycle)
+			}
+			m.MaxReadsPerCycle, m.MaxWritesPerCycle = 0, 0
+			o.MaxReadsPerCycle, o.MaxWritesPerCycle = 0, 0
+		}
 	}
 }

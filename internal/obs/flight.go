@@ -61,6 +61,8 @@ const DefaultFlightCap = 1024
 // FlightRecorder is the bounded ring.  All methods are safe for concurrent
 // use and valid on a nil receiver.
 type FlightRecorder struct {
+	size int // ring capacity, fixed at construction (read without mu)
+
 	mu   sync.Mutex
 	ring []FlightRecord
 	next uint64 // total records ever appended == seq of the next record
@@ -72,7 +74,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCap
 	}
-	return &FlightRecorder{ring: make([]FlightRecord, 0, capacity)}
+	return &FlightRecorder{size: capacity, ring: make([]FlightRecord, 0, capacity)}
 }
 
 // Record appends one record, overwriting the oldest when the ring is full.
@@ -108,7 +110,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return cap(f.ring)
+	return f.size
 }
 
 // Snapshot returns the retained records oldest-first, sequence numbers

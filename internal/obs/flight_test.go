@@ -107,6 +107,31 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderCapConcurrent reads Cap while records are appended (as
+// /statusz does while requests log); under -race this pins that Cap takes
+// no unsynchronised read of the ring.
+func TestFlightRecorderCapConcurrent(t *testing.T) {
+	f := NewFlightRecorder(16)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			f.Record("INFO", "w", "cap", "")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 1000; i++ {
+			if c := f.Cap(); c != 16 {
+				t.Errorf("Cap = %d, want 16", c)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record("INFO", "x", "y", "")

@@ -23,6 +23,14 @@
 //   - predict_in (§III-F): a component receives the stage-p outputs of its
 //     input nodes and may pass them through, override fields, or arbitrate
 //     among several inputs.
+//
+// Provider attribution: each Pred names the sub-component behind its
+// direction and its target as a Provider, a uint16 ID interned from the
+// component's instance name (ProviderOf).  Components intern their name once
+// at construction; Provider.String resolves it without a lock wherever a
+// report needs the name.  The zero Provider is the empty name, and the table
+// holds at most 65535 names: interning past that is a construction error,
+// never a wrapped ID.
 package pred
 
 import (
@@ -83,9 +91,10 @@ type Pred struct {
 
 	// DirProvider / TgtProvider name the sub-component whose opinion each
 	// field group carries — attribution for Fig. 8-style provider stats and
-	// for the tournament's selector update.
-	DirProvider string
-	TgtProvider string
+	// for the tournament's selector update.  They are interned names (see
+	// Provider), so a Pred holds no pointers.
+	DirProvider Provider
+	TgtProvider Provider
 }
 
 // OverlayOn returns base with p's valid field groups overriding it.
@@ -145,7 +154,8 @@ type Query struct {
 	Path  uint64   // path history
 
 	// In holds the predict_in packets, one per input edge of the topology,
-	// evaluated at this component's response stage.
+	// evaluated at this component's response stage.  Both the slice and its
+	// packets are read-only: the composer shares them with other nodes.
 	In []Packet
 }
 

@@ -8,23 +8,23 @@ import (
 )
 
 func TestOverlayOnFieldGroups(t *testing.T) {
-	base := Pred{DirValid: true, Taken: false, DirProvider: "bim",
-		TgtValid: true, Target: 0x100, TgtProvider: "btb"}
+	base := Pred{DirValid: true, Taken: false, DirProvider: MustProvider("bim"),
+		TgtValid: true, Target: 0x100, TgtProvider: MustProvider("btb")}
 
 	// Direction-only override keeps the base target.
-	dir := Pred{DirValid: true, Taken: true, DirProvider: "tage"}
+	dir := Pred{DirValid: true, Taken: true, DirProvider: MustProvider("tage")}
 	got := dir.OverlayOn(base)
-	if !got.Taken || got.DirProvider != "tage" {
+	if !got.Taken || got.DirProvider.String() != "tage" {
 		t.Errorf("direction override failed: %+v", got)
 	}
-	if !got.TgtValid || got.Target != 0x100 || got.TgtProvider != "btb" {
+	if !got.TgtValid || got.Target != 0x100 || got.TgtProvider.String() != "btb" {
 		t.Errorf("target must pass through: %+v", got)
 	}
 
 	// Target-only override keeps the base direction (Fig. 3 BTB behaviour).
-	tgt := Pred{TgtValid: true, Target: 0x200, TgtProvider: "btb2", IsCFI: true}
+	tgt := Pred{TgtValid: true, Target: 0x200, TgtProvider: MustProvider("btb2"), IsCFI: true}
 	got = tgt.OverlayOn(base)
-	if got.Taken || got.DirProvider != "bim" {
+	if got.Taken || got.DirProvider.String() != "bim" {
 		t.Errorf("direction must pass through: %+v", got)
 	}
 	if got.Target != 0x200 || !got.IsCFI {
@@ -60,27 +60,27 @@ func TestOverlayIdentityProperty(t *testing.T) {
 func TestOverlayAssociativity(t *testing.T) {
 	// (a over (b over c)) == ((a over b applied at packet level)) — for
 	// single fields: overlaying is right-biased and associative.
-	a := Pred{DirValid: true, Taken: true, DirProvider: "a"}
-	b := Pred{TgtValid: true, Target: 5, TgtProvider: "b"}
-	c := Pred{DirValid: true, Taken: false, DirProvider: "c",
-		TgtValid: true, Target: 9, TgtProvider: "c"}
+	a := Pred{DirValid: true, Taken: true, DirProvider: MustProvider("a")}
+	b := Pred{TgtValid: true, Target: 5, TgtProvider: MustProvider("b")}
+	c := Pred{DirValid: true, Taken: false, DirProvider: MustProvider("c"),
+		TgtValid: true, Target: 9, TgtProvider: MustProvider("c")}
 	left := a.OverlayOn(b.OverlayOn(c))
-	if !left.DirValid || !left.Taken || left.DirProvider != "a" {
+	if !left.DirValid || !left.Taken || left.DirProvider.String() != "a" {
 		t.Errorf("direction should come from a: %+v", left)
 	}
-	if left.Target != 5 || left.TgtProvider != "b" {
+	if left.Target != 5 || left.TgtProvider.String() != "b" {
 		t.Errorf("target should come from b: %+v", left)
 	}
 }
 
 func TestPacketOverlay(t *testing.T) {
 	base := Packet{{DirValid: true, Taken: false}, {}}
-	over := Packet{{}, {DirValid: true, Taken: true, DirProvider: "loop"}}
+	over := Packet{{}, {DirValid: true, Taken: true, DirProvider: MustProvider("loop")}}
 	got := over.OverlayOn(base)
 	if got[0] != base[0] {
 		t.Errorf("slot 0 must pass through: %+v", got[0])
 	}
-	if !got[1].Taken || got[1].DirProvider != "loop" {
+	if !got[1].Taken || got[1].DirProvider.String() != "loop" {
 		t.Errorf("slot 1 must be overridden: %+v", got[1])
 	}
 }

@@ -72,8 +72,8 @@ func (a *Axis) UnmarshalJSON(data []byte) error {
 // and expands identically everywhere, so "the sweep I ran" is as
 // content-addressable as "the run I ran".
 type Set struct {
-	Version int    `json:"version"`
-	Name    string `json:"name,omitempty"`
+	Version int     `json:"version"`
+	Name    string  `json:"name,omitempty"`
 	Base    RunSpec `json:"base"`
 	Axes    []Axis  `json:"axes,omitempty"`
 }

@@ -279,8 +279,8 @@ func (c *Core) unpend(f *fbInst, commit bool) {
 // accepted for f's slot, for H2P attribution of jumps and indirects.
 func (c *Core) tgtProvider(f *fbInst) string {
 	if f.entry != nil && f.slot < len(f.entry.Used) {
-		if p := f.entry.Used[f.slot].TgtProvider; p != "" {
-			return p
+		if p := f.entry.Used[f.slot].TgtProvider; p != 0 {
+			return p.String()
 		}
 	}
 	return "(none)"
@@ -578,7 +578,7 @@ func (c *Core) commit() {
 					c.S.Branches++
 					prov := ""
 					if f.entry != nil && f.slot < len(f.entry.Used) {
-						prov = f.entry.Used[f.slot].DirProvider
+						prov = f.entry.Used[f.slot].DirProvider.String()
 					}
 					if prov == "" {
 						prov = "(default-nt)"

@@ -19,7 +19,7 @@ type pkt struct {
 	cfiIdx int
 	nextPC uint64
 
-	age        int
+	age        int    // stages reached, 1..len(stages)
 	born       uint64 // fetch cycle (aging starts the following cycle)
 	predecoded bool
 	// predecode results (cached so fetch-buffer backpressure retries do not
@@ -446,25 +446,55 @@ func (c *Core) pushFB(f fbInst) {
 
 // frontendAdvance ages in-flight packets: applies deeper-stage overrides
 // (the composer's redirect logic, §IV-B), pre-decodes, and delivers.
+//
+// A packet is settled once it has reached its last stage and been
+// pre-decoded: all that remains is delivery.  Packets age one stage per
+// cycle in fetch order, so the settled packets are a prefix of the in-flight
+// window.  Delivery stays in program order, so once a packet cannot be
+// delivered the settled run behind it has nothing to do this cycle and is
+// skipped; only the younger packets that still have stages to see are aged.
 func (c *Core) frontendAdvance() {
 	i := 0
-	blocked := false // an older packet failed delivery: younger must wait
 	for i < len(c.inflight) {
 		pk := c.inflight[i]
-		if pk.born == c.cycle {
-			// Fetched this cycle; its stage-1 decision already steered the
-			// next fetch. Deeper stages respond starting next cycle.
+		if !c.agePkt(pk) {
 			i++
 			continue
 		}
-		prev := pk.age
+		if c.deliver(pk) {
+			// Delivered: remove from the in-flight window.
+			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
+			c.freePkt(pk)
+			continue
+		}
+		j := len(c.inflight)
+		for j > i+1 && !c.inflight[j-1].settled() {
+			j--
+		}
+		for ; j < len(c.inflight); j++ {
+			c.agePkt(c.inflight[j])
+		}
+		return
+	}
+}
+
+// settled reports whether pk has nothing left to do but deliver.
+func (pk *pkt) settled() bool { return pk.predecoded && pk.age == len(pk.stages) }
+
+// agePkt advances pk by one cycle — checking the stage it reaches for a
+// redirect and pre-decoding it at its last stage — and reports whether it
+// is ready for delivery.
+func (c *Core) agePkt(pk *pkt) bool {
+	if pk.born == c.cycle {
+		// Fetched this cycle; its stage-1 decision already steered the
+		// next fetch. Deeper stages respond starting next cycle.
+		return false
+	}
+	if pk.age < len(pk.stages) {
 		pk.age++
-		// Deeper-stage override checks (redirect on next-PC change).
-		for d := prev + 1; d <= pk.age && d <= len(pk.stages); d++ {
-			if d < 2 {
-				continue
-			}
-			v := pk.stages[d-1]
+		// Deeper-stage override check (redirect on next-PC change).
+		if pk.age >= 2 {
+			v := pk.stages[pk.age-1]
 			slots := c.scratchSlots()
 			cfi, next := c.viewDecode(pk.base, pk.start, v, slots)
 			if next != pk.nextPC {
@@ -477,22 +507,14 @@ func (c *Core) frontendAdvance() {
 				c.emitRedirect(pk.e.Seq(), next)
 			}
 		}
-		if pk.age >= len(pk.stages) {
-			if !pk.predecoded {
-				c.predecode(pk)
-			}
-			// Delivery must stay in program order: once an older packet is
-			// stalled on fetch-buffer space, younger packets wait behind it.
-			if !blocked && c.deliver(pk) {
-				// Delivered: remove from the in-flight window.
-				c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-				c.freePkt(pk)
-				continue
-			}
-			blocked = true
+		if pk.age < len(pk.stages) {
+			return false
 		}
-		i++
 	}
+	if !pk.predecoded {
+		c.predecode(pk)
+	}
+	return true
 }
 
 // fetch issues one packet query per cycle when the frontend is unblocked.
